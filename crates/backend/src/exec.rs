@@ -1,23 +1,29 @@
 //! The multi-threaded wavefront executor on a persistent worker pool.
 //!
-//! One [`ft_pool::WorkerPool`] is spawned per [`execute`] call and parked
-//! between wavefront steps; each step publishes one job that every
+//! An [`Executor`] keeps one [`ft_pool::WorkerPool`] parked between runs
+//! and between wavefront steps; each step publishes one job that every
 //! participant drains through an atomic chunk cursor (dynamic load
 //! balancing — wavefront widths vary wildly across steps, so static
-//! chunking strands workers). Points are enumerated into a reusable flat
-//! `i64` arena, and each launch group's access maps are partially
-//! evaluated once into a [`GroupPlan`](crate::plan::GroupPlan) so the
-//! per-point inner loop does strength-reduced flat index arithmetic with a
-//! dense scratch-slot table for cross-member forwarding — no hashing, no
-//! per-point allocation of index vectors.
+//! chunking strands workers). A step is enumerated as **runs**: maximal
+//! segments of consecutive points along the innermost transformed
+//! dimension, the one `Reordering::reuse_dims` made the reuse dimension.
+//! A chunk is a range of points, walked as run segments; per segment each
+//! member's domain is intersected once into an interval, each access of
+//! the [`GroupPlan`](crate::plan::GroupPlan) is range-checked at the
+//! segment's two ends and then advances by its stride, and every UDF
+//! statement is evaluated once over all the segment's leaves — a leaf
+//! GEMM whose weight has stride 0 along the run becomes one rows-batched
+//! kernel call. A single point is a segment of length one of the same
+//! path.
 //!
 //! Buffer storage is one contiguous `f32` **arena** laid out at plan time
 //! by [`ft_passes::plan_memory`]: every access resolves to a flat element
 //! offset (an affine function of the wavefront point), extern inputs are
 //! borrowed leaf-by-leaf as `Arc` handles (never deep-copied), and UDFs
 //! evaluate over borrowed slices through `ft_tensor::slices` kernels.
-//! Workers stage their writes in per-worker flat buffers; the publishing
-//! thread applies them serially between steps, enforcing the
+//! Workers stage their writes in per-worker flat buffers (which double as
+//! the forwarding store for later members of the same segment); the
+//! publishing thread applies them serially between steps, enforcing the
 //! single-assignment property with a leaf-granular written bitmap. Arena
 //! buffers are pooled on the [`Executor`], so a long-lived executor (the
 //! serving runtime's) reaches a zero-allocation steady state.
@@ -32,12 +38,11 @@ use ft_core::program::BufferKind;
 use ft_core::BufferId;
 use ft_passes::{CompiledProgram, Placement, Reordering};
 use ft_pool::WorkerPool;
+use ft_simd::{Run, MAX_EPI_OPERANDS};
 use ft_tensor::{slices, Tensor};
 use parking_lot::{Mutex, RwLock};
 
-use crate::plan::{
-    affine_flat, matvec_flat, ArgSrc, GroupPlan, MemberPlan, Place, ReadPlan, StmtPlan,
-};
+use crate::plan::{matvec_flat, Access, ArgSrc, GroupPlan, MemberPlan, Place, ReadPlan, StmtPlan};
 
 /// Execution errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,7 +275,10 @@ pub fn execute(
 
 /// One run's backing store: the flat `f32` arena plus the leaf-granular
 /// written bitmap that enforces single assignment. Pooled and reused
-/// across runs — `resize` after the first run is a no-op on capacity.
+/// across runs. Only the bitmap is cleared per run: it turns any read of
+/// an unwritten leaf into an error and fills are plan-time constants, so
+/// stale arena contents are never observed and `data` just keeps its
+/// high-water length.
 #[derive(Default)]
 struct ArenaBuf {
     data: Vec<f32>,
@@ -315,8 +323,9 @@ impl ArenaPool {
         if (arena_len as i64) > hw {
             obs.arena_high_water.set(arena_len as i64);
         }
-        buf.data.clear();
-        buf.data.resize(arena_len, 0.0);
+        if buf.data.len() < arena_len {
+            buf.data.resize(arena_len, 0.0);
+        }
         buf.written.clear();
         buf.written.resize(slots_len, false);
         buf
@@ -415,8 +424,11 @@ pub struct Executor {
     /// Stall watchdog window per wavefront launch (see
     /// [`launch_timeout`](Self::launch_timeout)).
     timeout: Option<std::time::Duration>,
-    /// Shared persistent pool; `None` spawns a pool per `run`.
+    /// Caller-attached pool ([`pool`](Self::pool)); `None` runs on `own`.
     pool: Option<Arc<WorkerPool>>,
+    /// The executor's own pool: created on first use, kept parked between
+    /// runs, shared by clones, replaced once a stall has poisoned it.
+    own: Arc<Mutex<Option<Arc<WorkerPool>>>>,
     /// Arena buffers reused across runs; shared by clones.
     arena: Arc<ArenaPool>,
 }
@@ -431,6 +443,7 @@ impl Default for Executor {
             armed: Arc::new(Mutex::new(None)),
             timeout: None,
             pool: None,
+            own: Arc::new(Mutex::new(None)),
             arena: Arc::new(ArenaPool::default()),
         }
     }
@@ -513,8 +526,8 @@ impl Executor {
         self
     }
 
-    /// Runs on a caller-owned persistent [`WorkerPool`] instead of spawning
-    /// one per `run`. The pool's effective participant count overrides
+    /// Runs on a caller-owned persistent [`WorkerPool`] instead of the
+    /// executor's own. The pool's effective participant count overrides
     /// [`threads`](Self::threads); the serving runtime uses this so every
     /// request shares one set of parked workers.
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
@@ -535,10 +548,22 @@ impl Executor {
         }
     }
 
-    fn effective_threads(&self) -> usize {
-        match &self.pool {
-            Some(p) => p.threads(),
-            None => self.threads.unwrap_or_else(ft_pool::default_threads),
+    /// The pool this run executes on: the attached one, else the
+    /// executor's own, (re)built when missing, sized for another thread
+    /// count, or poisoned by a stalled launch.
+    fn acquire_pool(&self) -> Arc<WorkerPool> {
+        if let Some(p) = &self.pool {
+            return Arc::clone(p);
+        }
+        let want = self.threads.unwrap_or_else(ft_pool::default_threads);
+        let mut own = self.own.lock();
+        match &*own {
+            Some(p) if p.threads() == want && !p.is_poisoned() => Arc::clone(p),
+            _ => {
+                let p = Arc::new(WorkerPool::new(want));
+                *own = Some(Arc::clone(&p));
+                p
+            }
         }
     }
 
@@ -678,16 +703,12 @@ impl Executor {
             externs.push(Some(extern_leaves(ft, buf)?));
         }
 
-        // The pool and the job closure live for the whole execute() call;
-        // per-step state flows through `shared` behind cheap locks that
-        // are only ever contended in the direction step-publish -> drain.
-        // The pool may degrade to fewer participants than requested, so
-        // size everything by its effective count. A caller-attached pool
-        // is reused as-is (its workers stay parked between runs).
-        let pool: Arc<WorkerPool> = match &self.pool {
-            Some(p) => Arc::clone(p),
-            None => Arc::new(WorkerPool::new(self.effective_threads())),
-        };
+        // The job closure lives for the whole run; per-step state flows
+        // through `shared` behind cheap locks that are only ever contended
+        // in the direction step-publish -> drain. The pool may degrade to
+        // fewer participants than requested, so size everything by its
+        // effective count.
+        let pool = self.acquire_pool();
         let threads = pool.threads();
         // A one-shot armed fault (chaos scenarios) trumps the per-run
         // plan; taking it here consumes it for every clone.
@@ -713,8 +734,8 @@ impl Executor {
             externs,
             step: RwLock::new(StepCtx::default()),
             cursor: AtomicUsize::new(0),
-            outs: (0..threads)
-                .map(|_| Mutex::new(WorkerOut::default()))
+            workers: (0..threads)
+                .map(|_| Mutex::new(Worker::default()))
                 .collect(),
             borrows: AtomicU64::new(0),
             batch,
@@ -730,6 +751,11 @@ impl Executor {
         let result = (|| {
             for (gi, group) in compiled.groups.iter().enumerate() {
                 run_group(compiled, group, gi, &pool, &shared, &job, self.timeout)?;
+            }
+            // The workers' staging is dead once the last writes are applied:
+            // free it so it never adds to the output copies below.
+            for w in &shared.workers {
+                *w.lock() = Worker::default();
             }
             let arena = shared.arena.read();
             let mut outputs = HashMap::new();
@@ -750,6 +776,8 @@ impl Executor {
                         buf.name
                     )));
                 }
+                // One copy out of the arena; every leaf of the result is a
+                // view into it.
                 let mut dims = layout.dims.clone();
                 dims.extend_from_slice(&layout.leaf_dims);
                 let flat =
@@ -777,11 +805,13 @@ impl Executor {
     }
 }
 
-/// One extern input's leaves as shared contiguous handles, in flat
-/// (row-major) leaf order.
+/// One extern input's leaves in flat (row-major) leaf order, each a
+/// contiguous window of one of the caller's buffers.
 struct ExternBuf {
-    leaves: Vec<(Arc<Vec<f32>>, usize)>,
-    leaf_len: usize,
+    /// The distinct backing buffers, in first-use order.
+    chunks: Vec<Arc<Vec<f32>>>,
+    /// Per leaf: its buffer in `chunks` and the element it starts at.
+    leaves: Vec<(usize, usize)>,
 }
 
 /// Borrows every leaf of an extern input, validating its shape against the
@@ -791,6 +821,7 @@ fn extern_leaves(ft: &FractalTensor, buf: &ft_etdg::BufferNode) -> Result<Extern
     let dims = &buf.dims;
     let leaf_dims = buf.leaf_shape.dims();
     let nleaves: usize = dims.iter().product();
+    let mut chunks: Vec<Arc<Vec<f32>>> = Vec::new();
     let mut leaves = Vec::with_capacity(nleaves);
     let mut idx = vec![0usize; dims.len()];
     for _ in 0..nleaves {
@@ -803,7 +834,13 @@ fn extern_leaves(ft: &FractalTensor, buf: &ft_etdg::BufferNode) -> Result<Extern
                 buf.name
             )));
         }
-        leaves.push(leaf.shared_contiguous());
+        // Neighbouring leaves usually view one buffer (`from_flat`), which
+        // is what lets a run of them be addressed by a stride.
+        let (data, off) = leaf.shared_contiguous();
+        if !chunks.last().is_some_and(|c| Arc::ptr_eq(c, &data)) {
+            chunks.push(data);
+        }
+        leaves.push((chunks.len() - 1, off));
         for k in (0..dims.len()).rev() {
             idx[k] += 1;
             if idx[k] < dims[k] {
@@ -812,18 +849,21 @@ fn extern_leaves(ft: &FractalTensor, buf: &ft_etdg::BufferNode) -> Result<Extern
             idx[k] = 0;
         }
     }
-    Ok(ExternBuf {
-        leaves,
-        leaf_len: buf.leaf_shape.numel(),
-    })
+    Ok(ExternBuf { chunks, leaves })
 }
 
 /// Per-step inputs published to the pool.
 #[derive(Default)]
 struct StepCtx {
     plan: Option<Arc<GroupPlan>>,
-    /// Flat point arena: `npoints` transformed points of `plan.dims` each.
-    points: Vec<i64>,
+    /// The step's runs: `plan.dims` coordinates each, the transformed
+    /// point a run starts at.
+    runs: Vec<i64>,
+    /// Points of the step up to and including each run: run `r` holds
+    /// points `run_ends[r - 1]..run_ends[r]`.
+    run_ends: Vec<usize>,
+    /// The enumeration's odometer, kept for its allocation.
+    cursor: Vec<i64>,
     npoints: usize,
     /// Points per cursor chunk.
     chunk: usize,
@@ -843,7 +883,8 @@ struct ExecShared {
     externs: Vec<Option<ExternBuf>>,
     step: RwLock<StepCtx>,
     cursor: AtomicUsize,
-    outs: Vec<Mutex<WorkerOut>>,
+    /// Per-participant step output and scratch, allocated once per run.
+    workers: Vec<Mutex<Worker>>,
     /// Leaf reads served this run (flushed into the pool stats at the end).
     borrows: AtomicU64,
     /// Serving batch id this launch runs under ([`Executor::run_tagged`]).
@@ -857,27 +898,44 @@ struct ExecShared {
     pool: Arc<WorkerPool>,
 }
 
-/// Per-point evaluation context threaded through the worker body.
-struct PointEnv<'a> {
+/// What a run segment reads but does not own.
+struct SegEnv<'a> {
+    plan: &'a GroupPlan,
+    /// The arena's elements and its written bitmap.
+    data: &'a [f32],
+    written: &'a [bool],
+    externs: &'a [Option<ExternBuf>],
     group: usize,
     step: i64,
     guard: bool,
     fault: Option<&'a FaultPlan>,
 }
 
-/// One pending write: a window of the worker's staged data plus its flat
-/// destination in the arena and its bit in the written bitmap.
+/// The pending writes of one member output over one run: `count` leaves of
+/// `len` elements, packed from `data` in the worker's staged data, bound
+/// for leaves `flat0, flat0 + stride, …` of the buffer based at `offset`
+/// (elements) / `slot_off` (written bitmap). Until the step's writes are
+/// applied the record is also the forwarding window of write slot `slot`
+/// over positions `lo..lo + count` of its segment: later members' reads of
+/// the same leaves are served from the staged data.
 struct WriteRec {
-    buffer: u32,
-    arena_off: usize,
-    bit: usize,
-    len: u32,
+    slot: usize,
+    lo: usize,
+    buffer: usize,
+    data: usize,
+    offset: usize,
+    slot_off: usize,
+    flat0: i64,
+    stride: i64,
+    count: usize,
+    len: usize,
 }
 
 /// One participant's output for a wavefront step.
 #[derive(Default)]
 struct WorkerOut {
-    /// Flat arena of staged write values, windows in `writes` order.
+    /// Flat arena of staged write values, windows in `writes` order. Later
+    /// members of a segment read forwarded values straight out of it.
     writes_data: Vec<f32>,
     writes: Vec<WriteRec>,
     /// Buffer reads issued (for traffic accounting).
@@ -885,54 +943,73 @@ struct WorkerOut {
     /// Points processed.
     points: usize,
     err: Option<ExecError>,
-    /// `(start_us, dur_us)`, captured only while tracing is enabled.
+    /// `(start_us, dur_us)` of the worker body.
     stat: Option<(f64, f64)>,
 }
 
-/// Where one UDF input leaf comes from at the current point, resolved to
-/// plain offsets so no borrows are held across the resolve loop.
-#[derive(Clone, Copy)]
-enum ReadSrc {
-    /// Window of the shared arena.
-    Arena { off: usize, len: usize },
-    /// An extern input leaf.
-    Extern { buffer: usize, leaf: usize },
-    /// A plan-time fill constant of the member.
-    Fill(usize),
-    /// A same-point forwarded value in the slot-data scratch.
-    Slot { off: usize, len: usize },
-}
-
-/// Reusable per-worker scratch sized by the group plan.
-struct Scratch {
-    /// Original-space point `t = T⁻¹·j`.
-    t: Vec<i64>,
-    /// One access index (plan's `max_rows`).
-    idx: Vec<i64>,
-    /// Flat per-slot forwarded values (windows at `plan.slot_data_offsets`).
-    slot_data: Vec<f32>,
-    /// Flat leaf index each populated slot was written at.
-    slot_flat: Vec<i64>,
-    slot_set: Vec<bool>,
-    /// UDF statement scratch (windows laid out by the plan).
-    tmps: Vec<f32>,
-    /// Resolved sources for the current member's reads.
-    read_src: Vec<ReadSrc>,
-}
-
-impl Scratch {
-    fn new(plan: &GroupPlan) -> Self {
-        Scratch {
-            t: vec![0; plan.dims],
-            idx: vec![0; plan.max_rows],
-            slot_data: vec![0.0; plan.slot_data_len],
-            slot_flat: vec![0; plan.slots()],
-            slot_set: vec![false; plan.slots()],
-            tmps: vec![0.0; plan.max_tmps_len],
-            read_src: Vec::new(),
-        }
+impl WorkerOut {
+    fn clear(&mut self) {
+        self.writes_data.clear();
+        self.writes.clear();
+        self.reads = 0;
+        self.points = 0;
+        self.err = None;
+        self.stat = None;
     }
 }
+
+/// Where one UDF input comes from over the current run, resolved to plain
+/// offsets so no borrows are held across the resolve loop.
+#[derive(Clone, Copy)]
+enum RunSrc {
+    /// A plan-time fill constant of the member, shared by the whole run.
+    Fill(usize),
+    /// Leaves `flat, flat + stride, …` of the arena buffer based at
+    /// `offset` / `slot_off`.
+    Arena {
+        offset: usize,
+        slot_off: usize,
+        flat: i64,
+        stride: i64,
+        leaf: usize,
+    },
+    /// Leaves of extern `buffer`, `stride` elements apart from `start` in
+    /// its backing buffer `chunk`.
+    Extern {
+        buffer: usize,
+        chunk: usize,
+        start: usize,
+        stride: isize,
+        leaf: usize,
+    },
+    /// Forwarded from an earlier member of this segment: packed leaves
+    /// from `start` in the worker's staged write data.
+    Staged { start: usize, leaf: usize },
+}
+
+/// Reusable per-worker scratch.
+#[derive(Default)]
+struct Scratch {
+    /// The transformed point the current segment starts at.
+    j: Vec<i64>,
+    /// UDF statement scratch: the plan's windows, each scaled by the
+    /// current run length.
+    tmps: Vec<f32>,
+    /// Resolved sources for the current member's reads.
+    reads: Vec<RunSrc>,
+}
+
+/// One participant's state for a run: allocated once, cleared per step.
+#[derive(Default)]
+struct Worker {
+    out: WorkerOut,
+    scratch: Scratch,
+}
+
+/// Elements of staging (UDF scratch plus staged outputs) one run segment
+/// may occupy: 64 KiB, so a segment's working set stays cache-resident and
+/// a worker's scratch stays O(one leaf) for programs with large leaves.
+const SEGMENT_ELEMS: usize = 16 * 1024;
 
 #[allow(clippy::too_many_arguments)]
 fn run_group(
@@ -947,15 +1024,11 @@ fn run_group(
     let r = &group.reordering;
     let threads = pool.threads();
     let (lo, hi) = r.wavefront_range();
-    let mut plan = GroupPlan::build(compiled, group)?;
-    if let Some(fault) = shared.fault.as_deref() {
-        if let Some((g, member, read, delta)) = fault.corrupt_read {
-            if g == group_idx {
-                plan.corrupt_read_offset(member, read, delta);
-            }
-        }
-    }
-    let plan = Arc::new(plan);
+    let corrupt = match shared.fault.as_deref().and_then(|f| f.corrupt_read) {
+        Some((g, member, read, delta)) if g == group_idx => Some((member, read, delta)),
+        _ => None,
+    };
+    let plan = Arc::new(GroupPlan::build(compiled, group, corrupt)?);
     exec_obs().launch_groups.inc();
     let mut gspan = ft_probe::span("exec", "launch_group");
     if gspan.is_recording() {
@@ -964,35 +1037,41 @@ fn run_group(
         gspan.field("members", group.members.len());
         gspan.field("wavefront_steps", hi - lo);
         gspan.field("threads", threads);
-        gspan.field("scratch_slots", plan.slots());
         if let Some(b) = shared.batch {
             gspan.field("batch", b);
         }
         ft_probe::counter("exec.launch_groups", 1.0);
     }
+    shared.step.write().plan = Some(Arc::clone(&plan));
+    let mut worker_stats: Vec<(usize, f64, f64, usize)> = Vec::with_capacity(threads);
     for step in lo..hi {
-        // Publish the step: refill the point arena (no job is in flight,
-        // so the write locks are uncontended).
+        // Publish the step: refill the run table (no job is in flight, so
+        // the write lock is uncontended).
         let (npoints, nchunks) = {
             let mut ctx = shared.step.write();
-            ctx.plan = Some(Arc::clone(&plan));
-            let mut arena = std::mem::take(&mut ctx.points);
-            let npoints = points_into(r, step, &mut arena);
-            ctx.points = arena;
+            let ctx = &mut *ctx;
+            let npoints = runs_into(r, step, &mut ctx.cursor, &mut ctx.runs, &mut ctx.run_ends);
             ctx.npoints = npoints;
-            ctx.chunk = npoints.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
+            // One participant needs no load balancing, so its runs stay
+            // whole.
+            let parts = if threads == 1 {
+                1
+            } else {
+                threads * CHUNKS_PER_WORKER
+            };
+            ctx.chunk = npoints.div_ceil(parts).max(1);
             ctx.group = group_idx;
             ctx.step = step;
-            (npoints, npoints.div_ceil(ctx.chunk.max(1)))
+            (npoints, npoints.div_ceil(ctx.chunk))
         };
         if npoints == 0 {
             continue;
         }
         let mut sspan = ft_probe::span("exec", "wavefront_step");
         shared.cursor.store(0, Ordering::SeqCst);
-        // Compute in parallel (reads only touch earlier steps or the
-        // per-point scratch slots), then apply the writes serially. A
-        // panicking participant surfaces as a typed error rather than an
+        // Compute in parallel (reads only touch earlier steps or values
+        // staged within the same segment), then apply the writes serially.
+        // A panicking participant surfaces as a typed error rather than an
         // abort: the pool preserves the payload, and the inline path is
         // wrapped the same way.
         // Single-chunk steps skip the pool wake-up and run inline — but
@@ -1035,34 +1114,40 @@ fn run_group(
         }
         let mut reads_total = 0u64;
         let mut writes_applied = 0u64;
-        let mut worker_stats: Vec<(usize, f64, f64, usize)> = Vec::new();
+        worker_stats.clear();
         {
             let mut arena = shared.arena.write();
             let arena = &mut *arena;
-            for w in 0..threads {
-                let out = std::mem::take(&mut *shared.outs[w].lock());
-                if let Some(e) = out.err {
+            for (w, worker) in shared.workers.iter().enumerate() {
+                let mut worker = worker.lock();
+                let out = &mut worker.out;
+                if let Some(e) = out.err.take() {
                     return Err(e);
                 }
                 reads_total += out.reads;
                 if let Some((ts, dur)) = out.stat {
                     worker_stats.push((w, ts, dur, out.points));
                 }
-                let mut off = 0usize;
-                for rec in out.writes {
-                    let len = rec.len as usize;
-                    let src = &out.writes_data[off..off + len];
-                    off += len;
-                    if arena.written[rec.bit] {
-                        return Err(ExecError::Runtime(format!(
-                            "interpreter error: single-assignment violation in buffer '{}'",
-                            plan.buffer_names[rec.buffer as usize]
-                        )));
+                for rec in &out.writes {
+                    for i in 0..rec.count {
+                        let flat = (rec.flat0 + i as i64 * rec.stride) as usize;
+                        let bit = rec.slot_off + flat;
+                        if arena.written[bit] {
+                            return Err(ExecError::Runtime(format!(
+                                "interpreter error: single-assignment violation in buffer '{}'",
+                                plan.buffer_names[rec.buffer]
+                            )));
+                        }
+                        arena.written[bit] = true;
+                        let (src, dst) = (rec.data + i * rec.len, rec.offset + flat * rec.len);
+                        arena.data[dst..dst + rec.len]
+                            .copy_from_slice(&out.writes_data[src..src + rec.len]);
                     }
-                    arena.written[rec.bit] = true;
-                    arena.data[rec.arena_off..rec.arena_off + len].copy_from_slice(src);
-                    writes_applied += 1;
+                    writes_applied += rec.count as u64;
                 }
+                // A participant that sits the next step out must not have
+                // this one's writes applied twice.
+                out.clear();
             }
         }
         shared.borrows.fetch_add(reads_total, Ordering::Relaxed);
@@ -1131,26 +1216,29 @@ fn run_group(
 }
 
 /// One participant's share of a wavefront step: drain chunks off the
-/// shared cursor until the arena is exhausted.
+/// shared cursor until the step's points are exhausted.
 fn worker_body(shared: &ExecShared, worker: usize) {
     let ctx = shared.step.read();
     let Some(plan) = ctx.plan.as_deref() else {
         return;
     };
-    let env = PointEnv {
+    let arena = shared.arena.read();
+    let cx = SegEnv {
+        plan,
+        data: &arena.data,
+        written: &arena.written,
+        externs: &shared.externs,
         group: ctx.group,
         step: ctx.step,
         guard: shared.guard,
         fault: shared.fault.as_deref(),
     };
-    let arena = shared.arena.read();
     // Always timed (not gated on probe_on): busy/idle attribution feeds
     // the always-on metrics registry, two clock reads per step per worker.
-    let t0 = Some(ft_probe::now_us());
-    let mut out = WorkerOut::default();
-    let mut scratch = Scratch::new(plan);
-    let d = plan.dims;
-    'chunks: loop {
+    let t0 = ft_probe::now_us();
+    let mut state = shared.workers[worker].lock();
+    let Worker { out, scratch } = &mut *state;
+    loop {
         let c = shared.cursor.fetch_add(1, Ordering::SeqCst);
         let start = c.saturating_mul(ctx.chunk);
         if start >= ctx.npoints {
@@ -1164,125 +1252,199 @@ fn worker_body(shared: &ExecShared, worker: usize) {
         // chunk of the targeted step dies mid-drain, exactly like a UDF
         // or allocator blowing up on real work.
         if c == 0 {
-            if let Some(fault) = env.fault {
-                if fault.panic_at == Some((env.group, env.step)) {
+            if let Some(fault) = cx.fault {
+                if fault.panic_at == Some((cx.group, cx.step)) {
                     panic!(
                         "injected fault: worker panic at group {} step {}",
-                        env.group, env.step
+                        cx.group, cx.step
                     );
                 }
                 // Injected wedge: sleep without heartbeating, as if the
                 // UDF spun forever (bounded so tests don't leak threads).
                 if let Some((g, s, ms)) = fault.stall_at {
-                    if (g, s) == (env.group, env.step) {
+                    if (g, s) == (cx.group, cx.step) {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
                 }
             }
         }
         let end = (start + ctx.chunk).min(ctx.npoints);
-        for p in start..end {
-            let j = &ctx.points[p * d..p * d + d];
-            out.points += 1;
-            if let Err(e) = run_point(
-                plan,
-                &arena.data,
-                &arena.written,
-                &shared.externs,
-                j,
-                &mut scratch,
-                &mut out,
-                &env,
-            ) {
-                out.err = Some(e);
-                break 'chunks;
-            }
+        if let Err(e) = run_chunk(&cx, &ctx, start, end, scratch, out) {
+            out.err = Some(e);
+            break;
         }
     }
-    if let Some(ts) = t0 {
-        out.stat = Some((ts, ft_probe::now_us() - ts));
-    }
-    *shared.outs[worker].lock() = out;
+    out.stat = Some((t0, ft_probe::now_us() - t0));
 }
 
-/// Executes every group member at one transformed point.
-#[allow(clippy::too_many_arguments)]
-fn run_point(
-    plan: &GroupPlan,
-    arena_data: &[f32],
-    written: &[bool],
-    externs: &[Option<ExternBuf>],
-    j: &[i64],
+/// Walks points `start..end` of the step as run segments: each run the
+/// chunk overlaps contributes its overlap, cut to the staging budget.
+fn run_chunk(
+    cx: &SegEnv<'_>,
+    ctx: &StepCtx,
+    start: usize,
+    end: usize,
     s: &mut Scratch,
     out: &mut WorkerOut,
-    env: &PointEnv<'_>,
 ) -> Result<(), ExecError> {
-    matvec_flat(&plan.t_inv, plan.dims, plan.dims, j, &mut s.t);
-    s.slot_set.fill(false);
-    for member in &plan.members {
-        if !member.domain.contains(&s.t) {
-            continue;
+    let d = cx.plan.dims;
+    let cap = (SEGMENT_ELEMS / cx.plan.point_elems.max(1)).max(1);
+    let mut r = ctx.run_ends.partition_point(|&e| e <= start);
+    let mut p = start;
+    while p < end {
+        let run_lo = if r == 0 { 0 } else { ctx.run_ends[r - 1] };
+        let len = (end.min(ctx.run_ends[r]) - p).min(cap);
+        s.j.clear();
+        s.j.extend_from_slice(&ctx.runs[r * d..(r + 1) * d]);
+        if let Some(inner) = s.j.last_mut() {
+            *inner += (p - run_lo) as i64;
         }
-        eval_member(plan, member, arena_data, written, externs, j, s, out, env)?;
+        out.points += len;
+        // Writes from here on belong to this segment: its forwarding
+        // windows.
+        let seg = out.writes.len();
+        for member in &cx.plan.members {
+            let (mut cur, hi) = member.interval(&s.j, len);
+            while cur < hi {
+                cur = eval_member_run(cx, member, seg, cur, hi, s, out)?;
+            }
+        }
+        p += len;
+        if p == ctx.run_ends[r] {
+            r += 1;
+        }
     }
     Ok(())
 }
 
-/// Resolves a UDF argument source to a borrowed slice. `tmps` is the
-/// readable prefix of the statement scratch (all earlier windows) during
-/// statement evaluation, or the whole scratch when staging outputs.
-fn arg_slice<'a>(
+/// Resolves a UDF argument source to the run of `n` leaves it names.
+/// `tmps` is the readable prefix of the statement scratch (all earlier
+/// windows) during statement evaluation, or the whole scratch when staging
+/// outputs; `staged` is the worker's staged write data.
+fn arg_run<'a>(
     src: &ArgSrc,
-    reads: &[ReadSrc],
+    n: usize,
+    reads: &[RunSrc],
     tmps: &'a [f32],
     fills: &'a [Vec<f32>],
-    arena_data: &'a [f32],
-    externs: &'a [Option<ExternBuf>],
-    slot_data: &'a [f32],
-) -> &'a [f32] {
-    match src {
-        ArgSrc::Tmp { off, len } => &tmps[*off..*off + *len],
-        ArgSrc::In(k) => match &reads[*k] {
-            ReadSrc::Fill(f) => &fills[*f],
-            ReadSrc::Arena { off, len } => &arena_data[*off..*off + *len],
-            ReadSrc::Slot { off, len } => &slot_data[*off..*off + *len],
-            ReadSrc::Extern { buffer, leaf } => match &externs[*buffer] {
-                Some(e) => {
-                    let (data, off) = &e.leaves[*leaf];
-                    &data[*off..*off + e.leaf_len]
-                }
+    cx: &SegEnv<'a>,
+    staged: &'a [f32],
+) -> Run<'a> {
+    match *src {
+        ArgSrc::Tmp { off, len } => Run::new(tmps, off * n, len as isize, len, n),
+        ArgSrc::In(k) => match reads[k] {
+            RunSrc::Fill(f) => Run::new(&fills[f], 0, 0, fills[f].len(), n),
+            RunSrc::Arena {
+                offset,
+                flat,
+                stride,
+                leaf,
+                ..
+            } => Run::new(
+                cx.data,
+                offset + leaf * flat as usize,
+                leaf as isize * stride as isize,
+                leaf,
+                n,
+            ),
+            RunSrc::Extern {
+                buffer,
+                chunk,
+                start,
+                stride,
+                leaf,
+            } => match &cx.externs[buffer] {
+                Some(e) => Run::new(&e.chunks[chunk], start, stride, leaf, n),
                 // Unreachable: resolve_read verified presence.
-                None => &[],
+                None => Run::new(&[], 0, 0, 0, n),
             },
+            RunSrc::Staged { start, leaf } => Run::new(staged, start, leaf as isize, leaf, n),
         },
     }
 }
 
-/// Upper bound on fused-epilogue operands per statement. Mirrors the
-/// fusion pass's `MAX_EPI_OPS` cap (each epilogue op consumes at most one
-/// extra operand), so the per-point hot path can gather operand slices
-/// into a fixed array instead of heap-allocating a `Vec` per statement.
-const MAX_EPI_EXTRAS: usize = 8;
-
-/// Resolves the epilogue operand slices into `buf` and returns the
+/// Gathers a statement's epilogue operands into `buf` and returns the
 /// populated prefix. Plans never exceed the cap (the fusion pass enforces
 /// it); a malformed plan panics on the slice bound like every other
 /// executor-side shape violation.
-fn gather_extras<'a, 'b>(
+fn gather_extras<'b, T>(
     args: &[ArgSrc],
-    buf: &'b mut [&'a [f32]; MAX_EPI_EXTRAS],
-    get: &impl Fn(&ArgSrc) -> &'a [f32],
-) -> &'b [&'a [f32]] {
-    for (slot, a) in buf.iter_mut().zip(args) {
+    buf: &'b mut [T; MAX_EPI_OPERANDS],
+    get: &impl Fn(&ArgSrc) -> T,
+) -> &'b [T] {
+    for (slot, a) in buf[..args.len()].iter_mut().zip(args) {
         *slot = get(a);
     }
     &buf[..args.len()]
 }
 
-/// One UDF statement over borrowed slices, dispatching to the bitwise
-/// `ft_tensor::slices` kernels. Shapes were validated at plan time.
-fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f32]) {
+/// One UDF statement over a run of `n` points: `get` names each argument's
+/// `n` leaves, `out` is the statement's window of `n` packed result leaves.
+///
+/// A non-transposed leaf GEMM whose `b` operand is shared by the run
+/// (stride 0 — the reuse dimension at work) is one rows-batched kernel
+/// call. Statements that treat rows independently run once over the whole
+/// window when their operands are packed; everything else loops over the
+/// leaves. All three produce the bits a per-leaf evaluation would.
+fn eval_stmt_run<'a>(st: &StmtPlan, n: usize, get: impl Fn(&ArgSrc) -> Run<'a>, out: &mut [f32]) {
     let d0 = &st.arg_dims[0];
+    let gemm = match &st.op {
+        OpCode::MatMul => Some(&[][..]),
+        OpCode::FusedMatMul { transb: false, epi } => Some(&epi[..]),
+        _ => None,
+    };
+    if let Some(epi) = gemm {
+        let b = get(&st.args[1]);
+        if b.is_shared() {
+            let (m, k, cols) = (d0[0], d0[1], st.arg_dims[1][1]);
+            let mut buf = [Run::single(&[]); MAX_EPI_OPERANDS];
+            let extras = gather_extras(&st.args[2..], &mut buf, &get);
+            let a = get(&st.args[0]);
+            slices::matmul_epi_rows(a, b.leaf(0), m, k, cols, out, epi, extras);
+            return;
+        }
+    }
+    let rowwise = matches!(
+        st.op,
+        OpCode::Add
+            | OpCode::Sub
+            | OpCode::Mul
+            | OpCode::Div
+            | OpCode::Max
+            | OpCode::AddColBc
+            | OpCode::SubColBc
+            | OpCode::MulColBc
+            | OpCode::DivColBc
+            | OpCode::Scale(_)
+            | OpCode::AddScalar(_)
+            | OpCode::Tanh
+            | OpCode::Sigmoid
+            | OpCode::Exp
+            | OpCode::Neg
+            | OpCode::Relu
+            | OpCode::RowMax
+            | OpCode::RowSum
+            | OpCode::Softmax
+            | OpCode::Id
+            | OpCode::Silu
+            | OpCode::EwChain(_)
+    );
+    if rowwise && st.args.iter().all(|a| get(a).dense().is_some()) {
+        eval_stmt(st, |a| get(a).dense().unwrap_or(&[]), out, n);
+    } else {
+        for (i, leaf) in out.chunks_exact_mut(st.out_len.max(1)).take(n).enumerate() {
+            eval_stmt(st, |a| get(a).leaf(i), leaf, 1);
+        }
+    }
+}
+
+/// One UDF statement over borrowed slices, dispatching to the bitwise
+/// `ft_tensor::slices` kernels. Shapes were validated at plan time. `reps`
+/// stacks that many leaves along the rows of a row-independent statement
+/// (its slices then hold `reps` packed leaves); other statements take 1.
+fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f32], reps: usize) {
+    let d0 = &st.arg_dims[0];
+    let rows = d0.first().copied().unwrap_or(1) * reps;
     match &st.op {
         OpCode::MatMul => {
             let (m, k) = (d0[0], d0[1]);
@@ -1302,7 +1464,7 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
         OpCode::AddColBc => slices::col_broadcast(
             get(&st.args[0]),
             get(&st.args[1]),
-            d0[0],
+            rows,
             d0[1],
             out,
             |x, y| x + y,
@@ -1310,7 +1472,7 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
         OpCode::SubColBc => slices::col_broadcast(
             get(&st.args[0]),
             get(&st.args[1]),
-            d0[0],
+            rows,
             d0[1],
             out,
             |x, y| x - y,
@@ -1318,7 +1480,7 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
         OpCode::MulColBc => slices::col_broadcast(
             get(&st.args[0]),
             get(&st.args[1]),
-            d0[0],
+            rows,
             d0[1],
             out,
             |x, y| x * y,
@@ -1326,7 +1488,7 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
         OpCode::DivColBc => slices::col_broadcast(
             get(&st.args[0]),
             get(&st.args[1]),
-            d0[0],
+            rows,
             d0[1],
             out,
             |x, y| x / y,
@@ -1340,16 +1502,16 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
         OpCode::Relu => slices::relu_into(get(&st.args[0]), out),
         OpCode::RowMax => slices::row_reduce(
             get(&st.args[0]),
-            d0[0],
+            rows,
             d0[1],
             f32::NEG_INFINITY,
             out,
             f32::max,
         ),
         OpCode::RowSum => {
-            slices::row_reduce(get(&st.args[0]), d0[0], d0[1], 0.0, out, |acc, v| acc + v)
+            slices::row_reduce(get(&st.args[0]), rows, d0[1], 0.0, out, |acc, v| acc + v)
         }
-        OpCode::Softmax => slices::softmax_rows(get(&st.args[0]), d0[0], d0[1], out),
+        OpCode::Softmax => slices::softmax_rows(get(&st.args[0]), rows, d0[1], out),
         OpCode::Concat(axis) => {
             let outer: usize = d0[..*axis].iter().product();
             let inner: usize = d0[*axis + 1..].iter().product();
@@ -1378,200 +1540,254 @@ fn eval_stmt<'a>(st: &StmtPlan, get: impl Fn(&ArgSrc) -> &'a [f32], out: &mut [f
             } else {
                 st.arg_dims[1][1]
             };
-            // Fixed-size extras buffer: this is the per-point hot path, so
-            // no heap allocation (the fusion pass caps epilogue length).
-            let mut buf: [&[f32]; MAX_EPI_EXTRAS] = [&[]; MAX_EPI_EXTRAS];
+            let mut buf: [&[f32]; MAX_EPI_OPERANDS] = [&[]; MAX_EPI_OPERANDS];
             let extras = gather_extras(&st.args[2..], &mut buf, &get);
+            let (a, b) = (get(&st.args[0]), get(&st.args[1]));
             if *transb {
-                slices::matmul_transb_epi(
-                    get(&st.args[0]),
-                    get(&st.args[1]),
-                    m,
-                    k,
-                    n,
-                    out,
-                    epi,
-                    extras,
-                );
+                slices::matmul_transb_epi(a, b, m, k, n, out, epi, extras);
             } else {
-                slices::matmul_epi(
-                    get(&st.args[0]),
-                    get(&st.args[1]),
-                    m,
-                    k,
-                    n,
-                    out,
-                    epi,
-                    extras,
-                );
+                slices::matmul_epi(a, b, m, k, n, out, epi, extras);
             }
         }
         OpCode::EwChain(ops) => {
-            let mut buf: [&[f32]; MAX_EPI_EXTRAS] = [&[]; MAX_EPI_EXTRAS];
+            let mut buf: [&[f32]; MAX_EPI_OPERANDS] = [&[]; MAX_EPI_OPERANDS];
             let extras = gather_extras(&st.args[1..], &mut buf, &get);
             slices::ew_chain(get(&st.args[0]), out, ops, extras);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn eval_member(
-    plan: &GroupPlan,
-    member: &MemberPlan,
-    arena_data: &[f32],
-    written: &[bool],
-    externs: &[Option<ExternBuf>],
+/// Resolves one (range-checked) buffer read over positions `cur..*end` of
+/// the segment: finds its source at `cur` and pulls `*end` in to where
+/// that source stops being one affine run — the next forwarding window,
+/// the end of the current one, or a break in the caller's extern storage.
+fn resolve_read(
+    cx: &SegEnv<'_>,
+    access: &Access,
+    candidates: &[usize],
+    wins: &[WriteRec],
     j: &[i64],
+    cur: usize,
+    end: &mut usize,
+) -> Result<RunSrc, ExecError> {
+    let leaf = access.leaf_len;
+    let stride = access.run_stride();
+    let flat = access.flat_at(j) + cur as i64 * stride;
+    // Forwarding: the latest earlier write of this very leaf within the
+    // segment wins over the arena.
+    for &slot in candidates {
+        for w in wins
+            .iter()
+            .filter(|w| w.slot == slot && w.lo + w.count > cur)
+        {
+            if w.lo > cur {
+                *end = (*end).min(w.lo);
+                continue;
+            }
+            let hit = w.flat0 + (cur - w.lo) as i64 * w.stride == flat;
+            if w.stride != stride {
+                // The two maps cross at most once: settle this position
+                // on its own.
+                *end = cur + 1;
+            } else if hit {
+                *end = (*end).min(w.lo + w.count);
+            }
+            if hit {
+                return Ok(RunSrc::Staged {
+                    start: w.data + (cur - w.lo) * leaf,
+                    leaf,
+                });
+            }
+        }
+    }
+    match access.place {
+        Place::Arena { offset, slot_off } => Ok(RunSrc::Arena {
+            offset,
+            slot_off,
+            flat,
+            stride,
+            leaf,
+        }),
+        Place::Extern => {
+            let Some(e) = cx.externs[access.buffer].as_ref() else {
+                return Err(ExecError::Runtime(format!(
+                    "extern buffer '{}' missing at t={:?}",
+                    cx.plan.buffer_names[access.buffer],
+                    original_point(cx.plan, j, cur),
+                )));
+            };
+            let at = |i: usize| e.leaves[(flat + i as i64 * stride) as usize];
+            let (chunk, start) = at(0);
+            let mut step = 0isize;
+            if stride != 0 && *end - cur > 1 {
+                // The run holds for as long as the caller's leaves sit in
+                // one buffer, equally spaced.
+                step = at(1).1 as isize - start as isize;
+                let n = (1..*end - cur)
+                    .find(|&i| at(i) != (chunk, (start as isize + i as isize * step) as usize))
+                    .unwrap_or(*end - cur);
+                *end = cur + n;
+            }
+            Ok(RunSrc::Extern {
+                buffer: access.buffer,
+                chunk,
+                start,
+                stride: step,
+                leaf,
+            })
+        }
+    }
+}
+
+/// Evaluates `member` over the longest prefix of positions `cur..hi` of
+/// the current segment on which each of its reads is one affine run,
+/// returning where it stopped. `out.writes[seg..]` are the segment's
+/// writes so far.
+fn eval_member_run(
+    cx: &SegEnv<'_>,
+    member: &MemberPlan,
+    seg: usize,
+    cur: usize,
+    hi: usize,
     s: &mut Scratch,
     out: &mut WorkerOut,
-    env: &PointEnv<'_>,
-) -> Result<(), ExecError> {
-    s.read_src.clear();
+) -> Result<usize, ExecError> {
+    let mut end = hi;
+    s.reads.clear();
     for read in &member.reads {
         let src = match read {
-            ReadPlan::Fill { fill } => ReadSrc::Fill(*fill),
+            ReadPlan::Fill { fill } => RunSrc::Fill(*fill),
             ReadPlan::Buffer { access, candidates } => {
-                out.reads += 1;
-                affine_flat(
-                    &access.mat,
-                    &access.off,
-                    access.rows,
-                    plan.dims,
-                    j,
-                    &mut s.idx,
-                );
-                let flat = flat_leaf(&s.idx, access)
-                    .ok_or_else(|| oob_error(plan, member, access, s, env, AccessDir::Read))?;
-                let mut forwarded = None;
-                for &(slot, same_map) in candidates {
-                    if s.slot_set[slot] && (same_map || s.slot_flat[slot] == flat as i64) {
-                        forwarded = Some(slot);
-                        break;
-                    }
-                }
-                match (forwarded, access.place) {
-                    (Some(slot), _) => ReadSrc::Slot {
-                        off: plan.slot_data_offsets[slot],
-                        len: access.leaf_len,
-                    },
-                    (None, Place::Extern) => {
-                        if externs[access.buffer].is_none() {
-                            return Err(ExecError::Runtime(format!(
-                                "block '{}' at t={:?}: extern buffer '{}' missing",
-                                member.name, s.t, plan.buffer_names[access.buffer]
-                            )));
-                        }
-                        ReadSrc::Extern {
-                            buffer: access.buffer,
-                            leaf: flat,
-                        }
-                    }
-                    (None, Place::Arena { offset, slot_off }) => {
-                        if !written[slot_off + flat] {
-                            return Err(ExecError::Runtime(format!(
-                                "block '{}' at t={:?}: interpreter error: \
-                                 read of unwritten element {:?}",
-                                member.name,
-                                s.t,
-                                &s.idx[..access.rows]
-                            )));
-                        }
-                        ReadSrc::Arena {
-                            off: offset + access.leaf_len * flat,
-                            len: access.leaf_len,
-                        }
-                    }
-                }
+                check_range(cx, member, access, &s.j, cur, end, AccessDir::Read)?;
+                let wins = &out.writes[seg..];
+                resolve_read(cx, access, candidates, wins, &s.j, cur, &mut end)?
             }
         };
-        s.read_src.push(src);
+        s.reads.push(src);
     }
-
-    // Evaluate the UDF statements into the scratch windows. Earlier
-    // windows are readable through the split's prefix; the current
-    // statement's window is the only mutable borrow.
-    for st in &member.udf.stmts {
-        let (lo, hi) = s.tmps.split_at_mut(st.out_off);
-        let lo: &[f32] = lo;
-        let out_win = &mut hi[..st.out_len];
-        let read_src = &s.read_src;
-        let slot_data: &[f32] = &s.slot_data;
-        let fills = &member.fills;
-        eval_stmt(
-            st,
-            |src| arg_slice(src, read_src, lo, fills, arena_data, externs, slot_data),
-            out_win,
-        );
-    }
-
-    // Stage every UDF output into the worker's flat write buffer (the
-    // staged windows double as the NaN-scan and poison targets, exactly
-    // as the old per-tensor path treated the UDF results).
-    let base = out.writes_data.len();
-    for (src, len) in &member.udf.outputs {
-        let v = arg_slice(
-            src,
-            &s.read_src,
-            &s.tmps,
-            &member.fills,
-            arena_data,
-            externs,
-            &s.slot_data,
-        );
-        out.writes_data.extend_from_slice(&v[..*len]);
-    }
-    if let Some(fault) = env.fault {
-        if fault.poison_nan_at == Some((env.group, env.step)) {
-            if let Some((_, len)) = member.udf.outputs.first() {
-                for v in &mut out.writes_data[base..base + len] {
-                    *v = f32::NAN;
+    let n = end - cur;
+    // With the run's extent settled, an arena read must find every one of
+    // its leaves written by an earlier step.
+    for (read, src) in member.reads.iter().zip(&s.reads) {
+        if let ReadPlan::Buffer { access, .. } = read {
+            out.reads += n as u64;
+            if let RunSrc::Arena {
+                slot_off,
+                flat,
+                stride,
+                ..
+            } = *src
+            {
+                let unwritten =
+                    (0..n).find(|&i| !cx.written[slot_off + (flat + i as i64 * stride) as usize]);
+                if let Some(i) = unwritten {
+                    let idx = index_vec(access, &s.j, cur + i);
+                    return Err(ExecError::Runtime(format!(
+                        "block '{}' at t={:?}: interpreter error: \
+                         read of unwritten element {idx:?}",
+                        member.name,
+                        original_point(cx.plan, &s.j, cur + i),
+                    )));
                 }
             }
         }
     }
-    if env.guard && out.writes_data[base..].iter().any(|x| !x.is_finite()) {
-        return Err(ExecError::Guard {
-            group: env.group,
-            step: env.step,
-            block: member.name.clone(),
-            detail: format!("non-finite value in step output at point t={:?}", s.t),
-        });
+
+    // Evaluate the UDF statements into the scratch windows, each the
+    // plan's window scaled by the run length. Earlier windows are readable
+    // through the split's prefix; the current statement's window is the
+    // only mutable borrow.
+    let need = member.udf.tmps_len * n;
+    if s.tmps.len() < need {
+        s.tmps.resize(need, 0.0);
+    }
+    for st in &member.udf.stmts {
+        let (lo, hi) = s.tmps.split_at_mut(st.out_off * n);
+        let lo: &[f32] = lo;
+        let reads = &s.reads;
+        let staged: &[f32] = &out.writes_data;
+        eval_stmt_run(
+            st,
+            n,
+            |src| arg_run(src, n, reads, lo, &member.fills, cx, staged),
+            &mut hi[..st.out_len * n],
+        );
     }
 
-    let mut woff = base;
+    // Stage every UDF output into the worker's flat write buffer, each as
+    // `n` packed leaves (the staged windows double as the forwarding
+    // store, the NaN-scan and the poison targets).
+    let base = out.writes_data.len();
+    for (src, len) in &member.udf.outputs {
+        if let ArgSrc::In(k) = src {
+            if let RunSrc::Staged { start, leaf } = s.reads[*k] {
+                out.writes_data.extend_from_within(start..start + n * leaf);
+                continue;
+            }
+        }
+        let run = arg_run(src, n, &s.reads, &s.tmps, &member.fills, cx, &[]);
+        match run.dense() {
+            Some(all) => out.writes_data.extend_from_slice(&all[..n * len]),
+            None => (0..n).for_each(|i| out.writes_data.extend_from_slice(&run.leaf(i)[..*len])),
+        }
+    }
+    if let Some(fault) = cx.fault {
+        if fault.poison_nan_at == Some((cx.group, cx.step)) {
+            if let Some((_, len)) = member.udf.outputs.first() {
+                out.writes_data[base..base + n * len].fill(f32::NAN);
+            }
+        }
+    }
+    if cx.guard {
+        if let Some(mut bad) = out.writes_data[base..].iter().position(|x| !x.is_finite()) {
+            let mut pos = cur;
+            for (_, len) in &member.udf.outputs {
+                if bad < n * len {
+                    pos += bad / len;
+                    break;
+                }
+                bad -= n * len;
+            }
+            return Err(ExecError::Guard {
+                group: cx.group,
+                step: cx.step,
+                block: member.name.clone(),
+                detail: format!(
+                    "non-finite value in step output at point t={:?}",
+                    original_point(cx.plan, &s.j, pos)
+                ),
+            });
+        }
+    }
+
+    let mut data = base;
     for w in &member.writes {
-        let len = w.access.leaf_len;
-        affine_flat(
-            &w.access.mat,
-            &w.access.off,
-            w.access.rows,
-            plan.dims,
-            j,
-            &mut s.idx,
-        );
-        let flat = flat_leaf(&s.idx, &w.access)
-            .ok_or_else(|| oob_error(plan, member, &w.access, s, env, AccessDir::Write))?;
-        let slot_start = plan.slot_data_offsets[w.slot];
-        s.slot_data[slot_start..slot_start + len]
-            .copy_from_slice(&out.writes_data[woff..woff + len]);
-        s.slot_flat[w.slot] = flat as i64;
-        s.slot_set[w.slot] = true;
-        let Place::Arena { offset, slot_off } = w.access.place else {
+        let access = &w.access;
+        check_range(cx, member, access, &s.j, cur, end, AccessDir::Write)?;
+        let Place::Arena { offset, slot_off } = access.place else {
             // Unreachable: GroupPlan::build rejects extern writes.
             return Err(ExecError::Runtime(format!(
                 "block '{}' writes extern buffer '{}'",
-                member.name, plan.buffer_names[w.access.buffer]
+                member.name, cx.plan.buffer_names[access.buffer]
             )));
         };
+        let stride = access.run_stride();
+        let flat = access.flat_at(&s.j) + cur as i64 * stride;
         out.writes.push(WriteRec {
-            buffer: w.access.buffer as u32,
-            arena_off: offset + len * flat,
-            bit: slot_off + flat,
-            len: len as u32,
+            slot: w.slot,
+            lo: cur,
+            buffer: access.buffer,
+            data,
+            offset,
+            slot_off,
+            flat0: flat,
+            stride,
+            count: n,
+            len: access.leaf_len,
         });
-        woff += len;
+        data += n * access.leaf_len;
     }
-    Ok(())
+    Ok(end)
 }
 
 /// Which way an access points (error-message selection only).
@@ -1580,94 +1796,157 @@ enum AccessDir {
     Write,
 }
 
-/// The always-on range check fused with the flat-leaf-index computation:
-/// `None` when any component leaves its extent (the error path; the
-/// success path is branch-only and allocation-free).
-#[inline]
-fn flat_leaf(idx: &[i64], access: &crate::plan::Access) -> Option<usize> {
-    let mut flat = 0i64;
-    for (r, &v) in idx.iter().enumerate().take(access.rows) {
-        if v < 0 || v >= access.extents[r] {
-            return None;
-        }
-        flat += access.leaf_strides[r] * v;
+/// The original-space point `t = T⁻¹·j` at position `pos` of the segment
+/// starting at `j` (error messages only).
+fn original_point(plan: &GroupPlan, j: &[i64], pos: usize) -> Vec<i64> {
+    let mut at = j.to_vec();
+    if let Some(inner) = at.last_mut() {
+        *inner += pos as i64;
     }
-    Some(flat as usize)
+    let mut t = vec![0i64; plan.dims];
+    matvec_flat(&plan.t_inv, plan.dims, plan.dims, &at, &mut t);
+    t
 }
 
-/// Builds the out-of-range error for a failed [`flat_leaf`]: a typed guard
-/// trip in guard mode, the interpreter-shaped runtime error otherwise.
-fn oob_error(
-    plan: &GroupPlan,
+/// Component `r` of `access`'s data-space index at position `pos` of the
+/// segment starting at `j`.
+fn index_at(access: &Access, r: usize, j: &[i64], pos: usize) -> i64 {
+    let d = j.len();
+    let slope = if d == 0 { 0 } else { access.mat[r * d + d - 1] };
+    access.index_at(r, j) + pos as i64 * slope
+}
+
+/// `access`'s whole data-space index at position `pos` (error messages).
+fn index_vec(access: &Access, j: &[i64], pos: usize) -> Vec<i64> {
+    (0..access.rows)
+        .map(|r| index_at(access, r, j, pos))
+        .collect()
+}
+
+/// The always-on range check, once per run: every index component is
+/// affine in the run position, so it stays inside its extent over
+/// `cur..end` exactly when it does at both ends. A failure is a typed
+/// guard trip in guard mode and the interpreter-shaped runtime error
+/// otherwise, naming the offending end point.
+fn check_range(
+    cx: &SegEnv<'_>,
     member: &MemberPlan,
-    access: &crate::plan::Access,
-    s: &Scratch,
-    env: &PointEnv<'_>,
+    access: &Access,
+    j: &[i64],
+    cur: usize,
+    end: usize,
     dir: AccessDir,
-) -> ExecError {
-    let idx = &s.idx[..access.rows];
-    if env.guard {
+) -> Result<(), ExecError> {
+    let inside = |pos: usize| {
+        (0..access.rows).all(|r| (0..access.extents[r]).contains(&index_at(access, r, j, pos)))
+    };
+    let ends = [cur, end - 1];
+    let ends = &ends[..if end - 1 == cur { 1 } else { 2 }];
+    let Some(&pos) = ends.iter().find(|&&pos| !inside(pos)) else {
+        return Ok(());
+    };
+    let idx = index_vec(access, j, pos);
+    let t = original_point(cx.plan, j, pos);
+    Err(if cx.guard {
         let what = match dir {
             AccessDir::Read => "read of",
             AccessDir::Write => "write to",
         };
         ExecError::Guard {
-            group: env.group,
-            step: env.step,
+            group: cx.group,
+            step: cx.step,
             block: member.name.clone(),
             detail: format!(
-                "{what} buffer '{}' out of range at index {idx:?} (point t={:?})",
-                plan.buffer_names[access.buffer], s.t
+                "{what} buffer '{}' out of range at index {idx:?} (point t={t:?})",
+                cx.plan.buffer_names[access.buffer]
             ),
         }
     } else {
         ExecError::Runtime(format!(
-            "block '{}' at t={:?}: interpreter error: index {idx:?} out of extents {:?}",
-            member.name, s.t, access.extents
+            "block '{}' at t={t:?}: interpreter error: index {idx:?} out of extents {:?}",
+            member.name, access.extents
         ))
-    }
+    })
 }
 
-/// Enumerates the transformed points with a fixed wavefront coordinate
-/// into the flat arena `out` (stride = the reordering's dimensionality),
-/// returning the point count. Shared by the executor, the reference
-/// executor, and [`wavefront_profile`] so none of them allocate
-/// per-point `Vec`s.
-pub(crate) fn points_into(r: &Reordering, step: i64, out: &mut Vec<i64>) -> usize {
-    out.clear();
-    let d = r.bounds.len();
-    let mut current = vec![0i64; d];
-    let mut count = 0usize;
-    if r.sequential_dims == 0 {
-        // Pure-parallel group: one "step" covering the whole domain.
-        enumerate_from(r, 0, &mut current, out, &mut count);
-    } else {
-        current[0] = step;
-        enumerate_from(r, 1, &mut current, out, &mut count);
+/// Enumerates one wavefront step as **runs** — maximal segments of
+/// consecutive points along the innermost transformed dimension — into
+/// `runs` (the point each run starts at, `bounds.len()` coordinates each)
+/// and `ends` (the running point count after each run), returning the
+/// step's point count. `cursor` is the odometer, passed in so the executor
+/// reuses its allocation across steps.
+pub(crate) fn runs_into(
+    r: &Reordering,
+    step: i64,
+    cursor: &mut Vec<i64>,
+    runs: &mut Vec<i64>,
+    ends: &mut Vec<usize>,
+) -> usize {
+    runs.clear();
+    ends.clear();
+    cursor.clear();
+    cursor.resize(r.bounds.len(), 0);
+    // A pure-parallel group is one "step" covering the whole domain.
+    let fixed = r.sequential_dims.min(cursor.len());
+    if fixed == 1 {
+        cursor[0] = step;
     }
-    count
+    enumerate_runs(r, fixed, cursor, runs, ends);
+    ends.last().copied().unwrap_or(0)
 }
 
-fn enumerate_from(
+fn enumerate_runs(
     r: &Reordering,
     depth: usize,
-    current: &mut Vec<i64>,
-    out: &mut Vec<i64>,
-    count: &mut usize,
+    cursor: &mut Vec<i64>,
+    runs: &mut Vec<i64>,
+    ends: &mut Vec<usize>,
 ) {
-    if depth == r.bounds.len() {
-        out.extend_from_slice(current);
-        *count += 1;
+    let d = r.bounds.len();
+    let total = ends.last().copied().unwrap_or(0);
+    if depth == d {
+        // No free dimension: the step is the single point `cursor`.
+        runs.extend_from_slice(cursor);
+        ends.push(total + 1);
         return;
     }
     let lb = &r.bounds[depth];
-    let lo = lb.eval_lower(current);
-    let hi = lb.eval_upper_exclusive(current);
-    for v in lo..hi {
-        current[depth] = v;
-        enumerate_from(r, depth + 1, current, out, count);
+    let lo = lb.eval_lower(cursor);
+    let hi = lb.eval_upper_exclusive(cursor);
+    if depth + 1 == d {
+        if lo < hi {
+            cursor[depth] = lo;
+            runs.extend_from_slice(cursor);
+            ends.push(total + (hi - lo) as usize);
+        }
+    } else {
+        for v in lo..hi {
+            cursor[depth] = v;
+            enumerate_runs(r, depth + 1, cursor, runs, ends);
+        }
     }
-    current[depth] = 0;
+    cursor[depth] = 0;
+}
+
+/// The points of one wavefront step, flat (stride = the reordering's
+/// dimensionality), returning the point count: [`runs_into`] expanded, for
+/// the reference executor and [`wavefront_profile`].
+pub(crate) fn points_into(r: &Reordering, step: i64, out: &mut Vec<i64>) -> usize {
+    let (mut cursor, mut runs, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+    let npoints = runs_into(r, step, &mut cursor, &mut runs, &mut ends);
+    let d = r.bounds.len();
+    out.clear();
+    let mut lo = 0usize;
+    for (ri, &end) in ends.iter().enumerate() {
+        for pos in 0..end - lo {
+            out.extend_from_slice(&runs[ri * d..(ri + 1) * d]);
+            if let Some(inner) = out.last_mut().filter(|_| d > 0) {
+                *inner += pos as i64;
+            }
+        }
+        lo = end;
+    }
+    npoints
 }
 
 /// Executes a single group and reports how many points ran in each
@@ -1838,6 +2117,63 @@ mod tests {
         }
         // The executor sized itself by the pool, not the threads default.
         assert_eq!(pool.threads(), 3);
+    }
+
+    #[test]
+    fn own_pool_is_kept_across_runs_and_shared_by_clones() {
+        let p = stacked_rnn_program(2, 2, 3, 4);
+        let inputs = rnn_inputs(2, 2, 3, 4);
+        let compiled = compile(&p).unwrap();
+        let exec = Executor::new().threads(3);
+        assert!(exec.own.lock().is_none(), "the pool is created lazily");
+        let own = |e: &Executor| e.own.lock().clone().expect("a run creates the pool");
+        let a = exec.run(&compiled, &inputs).unwrap();
+        let first = own(&exec);
+        assert_eq!(first.threads(), 3);
+        // Same pool, hence the same parked worker threads, on the next
+        // run and on a clone's.
+        let b = exec.run(&compiled, &inputs).unwrap();
+        assert!(Arc::ptr_eq(&first, &own(&exec)));
+        let cloned = exec.clone();
+        let c = cloned.run(&compiled, &inputs).unwrap();
+        assert!(Arc::ptr_eq(&first, &own(&exec)));
+        for (id, ft) in &a {
+            assert_eq!(ft, &b[id]);
+            assert_eq!(ft, &c[id]);
+        }
+        // Another thread count gets a pool of its own size.
+        cloned.threads(2).run(&compiled, &inputs).unwrap();
+        assert_eq!(own(&exec).threads(), 2);
+        // An attached pool leaves the executor's own untouched.
+        let attached = Executor::new().pool(Arc::new(WorkerPool::new(2)));
+        attached.run(&compiled, &inputs).unwrap();
+        assert!(attached.own.lock().is_none());
+    }
+
+    #[test]
+    fn arena_is_reused_without_refill_across_program_sizes() {
+        // Only the written bitmap is cleared between runs: a smaller
+        // program after a larger one (and the reverse) runs over stale
+        // arena contents and must still match a fresh executor bit for bit.
+        let big = (stacked_rnn_program(4, 4, 8, 8), rnn_inputs(4, 4, 8, 8));
+        let small = (stacked_rnn_program(1, 2, 3, 8), rnn_inputs(1, 2, 3, 8));
+        for (order, grows) in [([&big, &small, &big], 1), ([&small, &big, &small], 2)] {
+            let exec = Executor::new().threads(2);
+            for (p, inputs) in order {
+                let compiled = compile(p).unwrap();
+                let got = exec.run(&compiled, inputs).unwrap();
+                let fresh = Executor::new().threads(2).run(&compiled, inputs).unwrap();
+                for (id, ft) in &fresh {
+                    let bits = |f: &FractalTensor| -> Vec<u32> {
+                        let flat = f.to_flat().unwrap().to_vec();
+                        flat.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(ft), bits(&got[id]), "stale arena leaked");
+                }
+            }
+            let stats = exec.arena_stats();
+            assert_eq!((stats.acquires, stats.grows), (3, grows));
+        }
     }
 
     #[test]

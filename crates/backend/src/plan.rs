@@ -1,23 +1,22 @@
-//! Per-group access plans: everything the per-point inner loop needs,
+//! Per-group access plans: everything the executor's run loop needs,
 //! precomputed once at launch-group entry.
 //!
-//! The executor's hot loop used to do, per point, a `T⁻¹·j` matvec through
-//! `Reordering::to_original` (allocating), one `AffineMap::apply` per read
-//! and write (allocating), and a `HashMap<(usize, Vec<i64>), Tensor>`
-//! overlay lookup keyed by freshly cloned index vectors, cloning every leaf
-//! tensor into the UDF argument list. The plan now goes further than the
-//! PR-2 version: on top of folding the group's unimodular reordering into
-//! every member's access maps (`i = (M·T⁻¹)·j + o`, flattened row-major)
-//! and precomputing forwarding candidates, it resolves every access against
-//! the [`ft_passes::MemoryPlan`] — so a read or write is a *flat element
-//! offset* into one contiguous arena (or an extern input borrow), an affine
-//! function of the wavefront point. Constant fills are materialized once at
-//! plan time, and each member's UDF is compiled to a [`UdfPlan`]: shapes
-//! inferred once, scratch windows laid out by prefix sums, every statement
-//! dispatching to `ft_tensor::slices` kernels over borrowed slices. The
-//! run-time inner loop allocates nothing and clones no tensors.
+//! The group's unimodular reordering is folded into every member's access
+//! maps (`i = (M·T⁻¹)·j + o`) and into its iteration domain, and each
+//! access is resolved against the [`ft_passes::MemoryPlan`] with the
+//! buffer's leaf strides folded in too — so a read or write is one affine
+//! row `c + s·j` giving the *flat leaf offset* into one contiguous arena
+//! (or an extern input), and its coefficient on the innermost transformed
+//! dimension is the access's stride along a run of consecutive points
+//! (0 = the operand is shared by the whole run, which is what
+//! `Reordering::reuse_dims` arranged). The per-dimension rows are kept
+//! only for the always-on range check at a run's two ends. Constant fills
+//! are materialized once at plan time, and each member's UDF is compiled
+//! to a [`UdfPlan`]: shapes inferred once, scratch windows laid out by
+//! prefix sums, every statement dispatching to `ft_tensor::slices` kernels
+//! over borrowed slices. The run loop allocates nothing per point and
+//! clones no tensors.
 
-use ft_affine::ConstraintSet;
 use ft_core::expr::{OpCode, Operand, Udf};
 use ft_etdg::RegionRead;
 use ft_passes::{CompiledProgram, Placement, ScheduledGroup};
@@ -47,12 +46,43 @@ pub(crate) struct Access {
     pub rows: usize,
     /// Buffer extents per data dimension (the always-on range check).
     pub extents: Vec<i64>,
-    /// Row-major leaf strides: flat leaf = `Σ leaf_strides[r]·idx[r]`.
-    pub leaf_strides: Vec<i64>,
+    /// The access with the buffer's leaf strides folded in: the flat leaf
+    /// index at point `j` is `flat_off + flat_row·j`.
+    pub flat_row: Vec<i64>,
+    /// Constant term of the folded access.
+    pub flat_off: i64,
     /// Elements per leaf.
     pub leaf_len: usize,
     /// Arena or extern placement.
     pub place: Place,
+}
+
+impl Access {
+    /// Flat leaf index at transformed point `j`.
+    #[inline]
+    pub fn flat_at(&self, j: &[i64]) -> i64 {
+        self.flat_off + dot(&self.flat_row, j)
+    }
+
+    /// Leaves advanced per step along the innermost transformed dimension
+    /// (0 = every point of a run reads the same leaf).
+    #[inline]
+    pub fn run_stride(&self) -> i64 {
+        self.flat_row.last().copied().unwrap_or(0)
+    }
+
+    /// Component `r` of the data-space index at point `j`.
+    #[inline]
+    pub fn index_at(&self, r: usize, j: &[i64]) -> i64 {
+        let d = j.len();
+        self.off[r] + dot(&self.mat[r * d..(r + 1) * d], j)
+    }
+}
+
+/// `Σ a[c]·x[c]`.
+#[inline]
+pub(crate) fn dot(a: &[i64], x: &[i64]) -> i64 {
+    a.iter().zip(x).map(|(m, v)| m * v).sum()
 }
 
 /// One buffer read, partially evaluated against the group reordering.
@@ -67,11 +97,9 @@ pub(crate) enum ReadPlan {
     Buffer {
         /// The composed access.
         access: Access,
-        /// Scratch slots of earlier member writes to the same buffer that
-        /// this read may forward from, latest-written first. The flag is
-        /// true when the write's composed map is identical to this read's,
-        /// so a populated slot is a guaranteed hit with no index compare.
-        candidates: Vec<(usize, bool)>,
+        /// Slots of earlier member writes to the same buffer that this
+        /// read may forward from, latest-written first.
+        candidates: Vec<usize>,
     },
 }
 
@@ -80,14 +108,15 @@ pub(crate) struct WritePlan {
     /// The composed access (always arena-placed; extern inputs are
     /// rejected at plan build).
     pub access: Access,
-    /// Dense scratch slot forwarding this value to later members.
+    /// Slot id under which later members find this value forwarded.
     pub slot: usize,
 }
 
 /// Where a UDF statement argument (or output) comes from.
 #[derive(Clone, Copy)]
 pub(crate) enum ArgSrc {
-    /// The member's k-th read (resolved per point into a borrowed slice).
+    /// The member's k-th read (resolved per run into a borrowed
+    /// [`ft_simd::Run`]).
     In(usize),
     /// An earlier statement's scratch window.
     Tmp {
@@ -104,7 +133,7 @@ pub(crate) struct StmtPlan {
     pub op: OpCode,
     /// Argument sources.
     pub args: Vec<ArgSrc>,
-    /// Argument dims (validated once here, never re-checked per point).
+    /// Argument dims (validated once here, never re-checked at run time).
     pub arg_dims: Vec<Vec<usize>>,
     /// Result window start in the member's tmps scratch.
     pub out_off: usize,
@@ -127,8 +156,9 @@ pub(crate) struct UdfPlan {
 pub(crate) struct MemberPlan {
     /// Diagnostic block name (for runtime error messages).
     pub name: String,
-    /// Exact iteration domain in the *original* space.
-    pub domain: ConstraintSet,
+    /// Exact iteration domain in the *transformed* space, one row of
+    /// `dims + 1` per inequality: `row[..dims]·j + row[dims] >= 0`.
+    pub guards: Vec<i64>,
     /// The member's UDF, compiled against its input leaf shapes.
     pub udf: UdfPlan,
     /// Reads in UDF input order.
@@ -149,26 +179,46 @@ pub(crate) struct GroupPlan {
     pub t_inv: Vec<i64>,
     /// Members in region order.
     pub members: Vec<MemberPlan>,
-    /// Start of each slot's data window in the flat slot-data scratch.
-    pub slot_data_offsets: Vec<usize>,
-    /// Total length of the flat slot-data scratch.
-    pub slot_data_len: usize,
-    /// Largest data-space rank over all accesses (sizes the index scratch).
-    pub max_rows: usize,
-    /// Largest UDF scratch length over all members.
-    pub max_tmps_len: usize,
+    /// Largest per-point staging footprint over all members, in elements:
+    /// UDF scratch plus staged outputs. Bounds the run-segment length.
+    pub point_elems: usize,
     /// Buffer names by index (guard-mode and degradation diagnostics).
     pub buffer_names: Vec<String>,
 }
 
-impl GroupPlan {
-    /// Number of scratch slots (one per member write).
-    pub fn slots(&self) -> usize {
-        self.slot_data_offsets.len()
+impl MemberPlan {
+    /// The sub-interval of the run `j, j + e, …, j + (len-1)·e` (`e` the
+    /// innermost unit vector) that lies inside this member's domain. Every
+    /// guard is affine in the run position, so the intersection is one
+    /// interval; it is empty when `lo >= hi`.
+    pub fn interval(&self, j: &[i64], len: usize) -> (usize, usize) {
+        let d = j.len();
+        let (mut lo, mut hi) = (0i64, len as i64);
+        for g in self.guards.chunks_exact(d + 1) {
+            let v0 = g[d] + dot(&g[..d], j);
+            let slope = if d == 0 { 0 } else { g[d - 1] };
+            match slope.signum() {
+                0 if v0 < 0 => return (0, 0),
+                1 => lo = lo.max(-v0.div_euclid(slope)),
+                -1 => hi = hi.min(v0.div_euclid(-slope) + 1),
+                _ => {}
+            }
+        }
+        (lo as usize, hi.max(lo) as usize)
     }
+}
 
-    /// Builds the plan for `group` of `compiled`.
-    pub fn build(compiled: &CompiledProgram, group: &ScheduledGroup) -> Result<Self, ExecError> {
+impl GroupPlan {
+    /// Builds the plan for `group` of `compiled`. `corrupt` is the
+    /// fault-injection hook (`(member, read, delta)` shifts the first
+    /// offset component of that read's access map, modelling a corrupted
+    /// map; out-of-range coordinates are ignored) — test/bench only, never
+    /// reachable without an explicit [`FaultPlan`](crate::exec::FaultPlan).
+    pub fn build(
+        compiled: &CompiledProgram,
+        group: &ScheduledGroup,
+        corrupt: Option<(usize, usize, i64)>,
+    ) -> Result<Self, ExecError> {
         let r = &group.reordering;
         let d = r.t_inv.rows();
         let mut t_inv = Vec::with_capacity(d * d);
@@ -177,15 +227,12 @@ impl GroupPlan {
         }
 
         let mut members = Vec::with_capacity(group.members.len());
-        let mut slot_data_offsets = Vec::new();
-        let mut slot_data_len = 0usize;
-        let mut max_rows = 0usize;
-        let mut max_tmps_len = 0usize;
-        // (buffer, mat, off, slot) of every write planned so far — the
+        let mut point_elems = 0usize;
+        // Buffer of every write planned so far, indexed by slot — the
         // forwarding candidates for subsequent members' reads.
-        let mut planned_writes: Vec<(usize, Vec<i64>, Vec<i64>, usize)> = Vec::new();
+        let mut planned_writes: Vec<usize> = Vec::new();
 
-        for &m in &group.members {
+        for (mi, &m) in group.members.iter().enumerate() {
             let block = compiled.etdg.block(m);
             let mut reads = Vec::with_capacity(block.reads.len());
             let mut fills: Vec<Vec<f32>> = Vec::new();
@@ -198,16 +245,15 @@ impl GroupPlan {
                         input_shapes.push(leaf_shape.clone());
                     }
                     RegionRead::Buffer { buffer, map } => {
-                        let access = build_access(compiled, group, buffer.0, map)?;
-                        max_rows = max_rows.max(access.rows);
+                        let delta = match corrupt {
+                            Some((cm, cr, delta)) if (cm, cr) == (mi, reads.len()) => delta,
+                            _ => 0,
+                        };
+                        let access = build_access(compiled, group, buffer.0, map, delta)?;
                         input_shapes.push(compiled.etdg.buffer(*buffer).leaf_shape.clone());
-                        let candidates = planned_writes
-                            .iter()
+                        let candidates = (0..planned_writes.len())
                             .rev()
-                            .filter(|(b, ..)| *b == buffer.0)
-                            .map(|(_, wmat, woff, slot)| {
-                                (*slot, *wmat == access.mat && *woff == access.off)
-                            })
+                            .filter(|&slot| planned_writes[slot] == buffer.0)
                             .collect();
                         reads.push(ReadPlan::Buffer { access, candidates });
                     }
@@ -215,7 +261,7 @@ impl GroupPlan {
             }
             let mut writes = Vec::with_capacity(block.writes.len());
             for w in &block.writes {
-                let access = build_access(compiled, group, w.buffer.0, &w.map)?;
+                let access = build_access(compiled, group, w.buffer.0, &w.map, 0)?;
                 if matches!(access.place, Place::Extern) {
                     return Err(ExecError::Runtime(format!(
                         "block '{}' writes extern input buffer '{}'",
@@ -223,11 +269,8 @@ impl GroupPlan {
                         compiled.etdg.buffer(w.buffer).name
                     )));
                 }
-                max_rows = max_rows.max(access.rows);
-                let slot = slot_data_offsets.len();
-                slot_data_offsets.push(slot_data_len);
-                slot_data_len += access.leaf_len;
-                planned_writes.push((w.buffer.0, access.mat.clone(), access.off.clone(), slot));
+                let slot = planned_writes.len();
+                planned_writes.push(w.buffer.0);
                 writes.push(WritePlan { access, slot });
             }
             let udf = build_udf_plan(&block.udf, &input_shapes)?;
@@ -242,7 +285,6 @@ impl GroupPlan {
                     )));
                 }
             }
-            max_tmps_len = max_tmps_len.max(udf.tmps_len);
             // Scratch accounting for the fusion pass: `tmps_len` covers
             // every statement including the outputs themselves, so a fully
             // fused UDF has scratch == output elements and the difference
@@ -250,9 +292,20 @@ impl GroupPlan {
             let out_elems: usize = udf.outputs.iter().map(|(_, n)| n).sum();
             ft_probe::counter("exec.udf_scratch_elems", udf.tmps_len as f64);
             ft_probe::counter("exec.udf_output_elems", out_elems as f64);
+            point_elems = point_elems.max(udf.tmps_len + out_elems);
+            // `a·t + c >= 0` with `t = T⁻¹·j` is `(a·T⁻¹)·j + c >= 0`.
+            let mut guards = Vec::with_capacity(block.domain.constraints().len() * (d + 1));
+            for c in block.domain.constraints() {
+                guards.extend((0..d).map(|col| {
+                    (0..d)
+                        .map(|i| c.coeffs[i] * r.t_inv.get(i, col))
+                        .sum::<i64>()
+                }));
+                guards.push(c.constant);
+            }
             members.push(MemberPlan {
                 name: block.name.clone(),
-                domain: block.domain.clone(),
+                guards,
                 udf,
                 reads,
                 writes,
@@ -263,10 +316,7 @@ impl GroupPlan {
             dims: d,
             t_inv,
             members,
-            slot_data_offsets,
-            slot_data_len,
-            max_rows,
-            max_tmps_len,
+            point_elems,
             buffer_names: compiled
                 .etdg
                 .buffers
@@ -274,23 +324,6 @@ impl GroupPlan {
                 .map(|b| b.name.clone())
                 .collect(),
         })
-    }
-
-    /// Fault-injection hook: shifts the first offset component of one
-    /// member's read plan by `delta`, modelling a corrupted access map.
-    /// Out-of-range `member`/`read` coordinates are ignored. Test/bench
-    /// only — never reachable without an explicit
-    /// [`FaultPlan`](crate::exec::FaultPlan).
-    pub fn corrupt_read_offset(&mut self, member: usize, read: usize, delta: i64) {
-        if let Some(ReadPlan::Buffer { access, .. }) = self
-            .members
-            .get_mut(member)
-            .and_then(|m| m.reads.get_mut(read))
-        {
-            if let Some(o) = access.off.first_mut() {
-                *o += delta;
-            }
-        }
     }
 }
 
@@ -301,9 +334,19 @@ fn build_access(
     group: &ScheduledGroup,
     buffer: usize,
     map: &ft_affine::AffineMap,
+    corrupt_delta: i64,
 ) -> Result<Access, ExecError> {
-    let (mat, off, rows) = flatten_map(group, map)?;
+    let (mat, mut off, rows) = flatten_map(group, map)?;
+    if let Some(o) = off.first_mut() {
+        *o += corrupt_delta;
+    }
     let layout = &compiled.memory.buffers[buffer];
+    let d = group.reordering.t_inv.rows();
+    let strides = &layout.leaf_strides;
+    let flat_row = (0..d)
+        .map(|c| (0..rows).map(|r| strides[r] * mat[r * d + c]).sum())
+        .collect();
+    let flat_off = dot(strides, &off);
     let place = match layout.placement {
         Placement::Extern => Place::Extern,
         Placement::Arena { offset, slot_off } => Place::Arena { offset, slot_off },
@@ -314,7 +357,8 @@ fn build_access(
         off,
         rows,
         extents: layout.dims.iter().map(|&d| d as i64).collect(),
-        leaf_strides: layout.leaf_strides.clone(),
+        flat_row,
+        flat_off,
         leaf_len: layout.leaf_len,
         place,
     })
@@ -391,31 +435,10 @@ fn flatten_map(
     Ok((mat, composed.offset().to_vec(), rows))
 }
 
-/// `out[r] = Σ_c mat[r·d + c]·x[c]` — the flat matvec of the hot loop.
+/// `out[r] = Σ_c mat[r·d + c]·x[c]` — the flat matvec of `t = T⁻¹·j`.
 #[inline]
 pub(crate) fn matvec_flat(mat: &[i64], rows: usize, d: usize, x: &[i64], out: &mut [i64]) {
-    for r in 0..rows {
-        let row = &mat[r * d..r * d + d];
-        let mut acc = 0i64;
-        for (m, v) in row.iter().zip(x.iter()) {
-            acc += m * v;
-        }
-        out[r] = acc;
-    }
-}
-
-/// `out[r] = off[r] + Σ_c mat[r·d + c]·x[c]` — one strength-reduced access.
-#[inline]
-pub(crate) fn affine_flat(
-    mat: &[i64],
-    off: &[i64],
-    rows: usize,
-    d: usize,
-    x: &[i64],
-    out: &mut [i64],
-) {
-    matvec_flat(mat, rows, d, x, out);
-    for (o, &b) in out[..rows].iter_mut().zip(off.iter()) {
-        *o += b;
+    for (r, o) in out[..rows].iter_mut().enumerate() {
+        *o = dot(&mat[r * d..r * d + d], x);
     }
 }

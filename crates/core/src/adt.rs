@@ -71,22 +71,25 @@ impl FractalTensor {
                 t.rank()
             )));
         }
-        let extent = t.dims()[0];
-        if prog_depth == 1 {
-            // Leaves stay zero-copy views into the flat buffer (`Tensor`
-            // is copy-on-write, so later mutation cannot alias).
-            let leaves = (0..extent)
-                .map(|i| t.select(0, i).map_err(|e| CoreError::Adt(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-            FractalTensor::from_tensors(leaves)
-        } else {
-            let elems = (0..extent)
-                .map(|i| {
-                    let sub = t.select(0, i).map_err(|e| CoreError::Adt(e.to_string()))?;
-                    FractalTensor::from_flat(&sub, prog_depth - 1)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            FractalTensor::nested(elems)
+        // Leaves stay zero-copy views into the flat buffer (`Tensor` is
+        // copy-on-write, so later mutation cannot alias), each built once
+        // from its offset; they share one shape by construction, so the
+        // lists are nested around them without re-validation.
+        let mut leaves = t
+            .leading_views(prog_depth)
+            .map_err(|e| CoreError::Adt(e.to_string()))?
+            .into_iter();
+        Ok(Self::nest(&t.dims()[..prog_depth], &mut leaves))
+    }
+
+    /// Nests the next `dims.iter().product()` leaves of `leaves` into lists
+    /// of extents `dims`, outermost first.
+    fn nest(dims: &[usize], leaves: &mut impl Iterator<Item = Tensor>) -> Self {
+        match dims {
+            [extent, rest @ ..] if !rest.is_empty() => {
+                FractalTensor::Nested((0..*extent).map(|_| Self::nest(rest, leaves)).collect())
+            }
+            _ => FractalTensor::Leaves(leaves.take(dims.iter().product()).collect()),
         }
     }
 
@@ -604,6 +607,53 @@ mod tests {
                 .to_contiguous(),
             0.0,
         );
+    }
+
+    /// The level-by-level construction `from_flat` replaced: one `select`
+    /// per nesting level, validated lists.
+    fn from_flat_recursive(t: &Tensor, prog_depth: usize) -> FractalTensor {
+        let subs = (0..t.dims()[0]).map(|i| t.select(0, i).unwrap());
+        if prog_depth == 1 {
+            FractalTensor::from_tensors(subs.collect()).unwrap()
+        } else {
+            FractalTensor::nested(
+                subs.map(|s| from_flat_recursive(&s, prog_depth - 1))
+                    .collect(),
+            )
+            .unwrap()
+        }
+    }
+
+    #[test]
+    fn from_flat_single_pass_equals_recursive_construction() {
+        // Depth 1-3, extent-1 axes in every position, contiguous and
+        // strided sources.
+        let sources = [
+            Tensor::randn(&[3, 1, 4, 2, 5], 11),
+            Tensor::randn(&[1, 3, 1, 6], 12),
+            Tensor::randn(&[2, 3, 4, 6], 13).slice(3, 1, 4).unwrap(),
+            Tensor::randn(&[4, 5], 14).t().unwrap(),
+        ];
+        for t in &sources {
+            for depth in 1..=3.min(t.rank()) {
+                let got = FractalTensor::from_flat(t, depth).unwrap();
+                let want = from_flat_recursive(t, depth);
+                assert_eq!(got.depth(), depth);
+                assert_eq!(got.prog_dims(), want.prog_dims());
+                assert_eq!(got.prog_dims(), t.dims()[..depth]);
+                assert_eq!(got.leaf_shape(), want.leaf_shape());
+                assert_eq!(got, want, "dims {:?} depth {depth}", t.dims());
+                assert_allclose(&got.to_flat().unwrap(), &t.to_contiguous(), 0.0);
+            }
+        }
+        // Leaves are views of the source buffer, not copies.
+        let t = Tensor::randn(&[2, 3, 4], 15);
+        let f = FractalTensor::from_flat(&t, 2).unwrap();
+        let (leaf_buf, off) = f.leaf_at(&[1, 2]).unwrap().shared_contiguous();
+        assert!(std::sync::Arc::ptr_eq(&leaf_buf, &t.shared_contiguous().0));
+        assert_eq!(off, 20);
+        assert!(FractalTensor::from_flat(&t, 0).is_err());
+        assert!(FractalTensor::from_flat(&t, 4).is_err());
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! tile, per row, or per buffer yields identical bits (scalar tails are
 //! bitwise identical to vector lanes — see the crate docs).
 
-use crate::{kernels, Mode};
+use crate::{kernels, Mode, Run};
+
+/// Most extra operands one epilogue may consume. The fusion pass caps
+/// epilogue length at this, so kernels and the executor gather operand
+/// slices into fixed arrays instead of allocating per call.
+pub const MAX_EPI_OPERANDS: usize = 8;
 
 /// One epilogue micro-op. Binary ops consume the next extra operand.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +105,23 @@ impl EpiOp {
 /// Number of extra operand slices `ops` consumes.
 pub fn operand_count(ops: &[EpiOp]) -> usize {
     ops.iter().filter(|o| o.takes_operand()).count()
+}
+
+/// Leaf `i` of every operand run, gathered into `buf` (the per-leaf view of
+/// a rows-batched epilogue's operands).
+///
+/// # Panics
+/// If `extras` holds more than [`MAX_EPI_OPERANDS`] runs.
+pub fn leaf_operands<'a, 'b>(
+    extras: &[Run<'a>],
+    i: usize,
+    buf: &'b mut [&'a [f32]; MAX_EPI_OPERANDS],
+) -> &'b [&'a [f32]] {
+    assert!(extras.len() <= MAX_EPI_OPERANDS);
+    for (slot, e) in buf.iter_mut().zip(extras) {
+        *slot = e.leaf(i);
+    }
+    &buf[..extras.len()]
 }
 
 /// Applies `ops` in order to `dst`, consuming one slice of `extras` per

@@ -6,8 +6,8 @@
 //! state. A mode the CPU cannot execute silently degrades to the scalar
 //! fallback, so a forged `Mode` can never fault.
 
-use crate::epi::{apply_epi, operand_count};
-use crate::{scalar, EpiOp, Mode, MR, NR};
+use crate::epi::{apply_epi, leaf_operands, operand_count, MAX_EPI_OPERANDS};
+use crate::{scalar, EpiOp, Mode, Run, MR, NR};
 
 #[cfg(target_arch = "aarch64")]
 use crate::neon;
@@ -358,13 +358,9 @@ pub fn small_gemm(mode: Mode, a: &[f32], b: &[f32], m: usize, k: usize, n: usize
     small_gemm_epi(mode, a, b, m, k, n, c, &[], &[]);
 }
 
-/// [`small_gemm`] with a fused epilogue applied in the register tile:
-/// after each output row block finishes its k accumulation, `ops` run on
-/// the accumulator registers (AVX2/NEON) or on the freshly written row
-/// (scalar/SSE) before the next row starts. Elementwise epilogues are
-/// position-independent bitwise, so every mode's result equals running
-/// the unfused sequence of that mode. `c` must be zero-initialized;
-/// `extras` are full `[m, n]` operand buffers consumed in `ops` order.
+/// [`small_gemm`] with a fused epilogue: the one-leaf case of
+/// [`small_gemm_epi_rows`]. `c` must be zero-initialized; `extras` are
+/// full `[m, n]` operand buffers consumed in `ops` order.
 #[allow(clippy::too_many_arguments)]
 pub fn small_gemm_epi(
     mode: Mode,
@@ -377,20 +373,61 @@ pub fn small_gemm_epi(
     ops: &[EpiOp],
     extras: &[&[f32]],
 ) {
-    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+    assert!(a.len() >= m * k && extras.len() <= MAX_EPI_OPERANDS);
+    let mut runs = [Run::single(&[]); MAX_EPI_OPERANDS];
+    for (r, e) in runs.iter_mut().zip(extras) {
+        *r = Run::new(e, 0, 0, m * n, 1);
+    }
+    let a = Run::new(a, 0, 0, m * k, 1);
+    small_gemm_epi_rows(mode, a, b, m, k, n, c, ops, &runs[..extras.len()]);
+}
+
+/// The rows-batched leaf product: every `[m, k]` leaf of the run `a`
+/// against one shared `[k, n]` `b`, leaf `i`'s `[m, n]` result at
+/// `c[i·m·n..]`, then `ops` applied to it with leaf `i` of each run in
+/// `extras` as operands. `c` must be zero-initialized.
+///
+/// The AVX2 body treats the run as one `len·m`-row product and holds a
+/// register tile of 2 rows × up to 4 column blocks (4 × 2 when `n` is
+/// narrow), so `b` is loaded once per `k` for all rows of the tile and
+/// eight independent FMA chains hide the FMA latency; the epilogue runs
+/// on each tile right after its stores. Other modes loop over the leaves
+/// with the scalar product. Either way every output element accumulates
+/// over `k` ascending, skipping `a` elements equal to zero, exactly as one
+/// [`small_gemm_epi`] call per leaf would: the results are bitwise equal.
+#[allow(clippy::too_many_arguments)]
+pub fn small_gemm_epi_rows(
+    mode: Mode,
+    a: Run<'_>,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+    ops: &[EpiOp],
+    extras: &[Run<'_>],
+) {
+    let len = a.len();
+    assert!(a.leaf_len() == m * k && b.len() >= k * n && c.len() >= len * m * n);
     assert_eq!(operand_count(ops), extras.len());
     for e in extras {
-        assert!(e.len() >= m * n);
+        assert!(e.leaf_len() == m * n && e.len() == len);
     }
     match mode {
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 if Mode::Avx2.supported() => unsafe {
-            x86::small_gemm_epi_avx2(a, b, m, k, n, c, ops, extras)
+            // SAFETY: AVX2+FMA support was just verified; the asserts above
+            // give the shape preconditions the kernel documents.
+            x86::small_gemm_epi_rows_avx2(a, b, m, k, n, c, ops, extras)
         },
         _ => {
-            scalar::small_gemm(a, b, m, k, n, &mut c[..m * n]);
-            if !ops.is_empty() {
-                apply_epi(mode, &mut c[..m * n], ops, extras);
+            let mut buf = [&[][..]; MAX_EPI_OPERANDS];
+            for i in 0..len {
+                let c_leaf = &mut c[i * m * n..(i + 1) * m * n];
+                scalar::small_gemm(a.leaf(i), b, m, k, n, c_leaf);
+                if !ops.is_empty() {
+                    apply_epi(mode, c_leaf, ops, leaf_operands(extras, i, &mut buf));
+                }
             }
         }
     }

@@ -56,8 +56,11 @@
 //! * [`math`] — vectorized `exp` / `sigmoid` / `tanh` / `silu` / softmax.
 //! * elementwise kernels ([`add_into`], [`mul_assign`], …).
 //! * GEMM primitives: the 4×8 register-tile [`gemm_ukr`] used by the packed
-//!   kernel, [`madd`] (axpy), and [`small_gemm_epi`] — the per-point
-//!   product with the fused epilogue applied in the register tile.
+//!   kernel, [`madd`] (axpy), and [`small_gemm_epi_rows`] — the leaf
+//!   product of a whole [`Run`] of wavefront points against one shared
+//!   `b`, register-tiled over rows and column blocks, with the fused
+//!   epilogue applied while the tile is hot ([`small_gemm_epi`] is its
+//!   one-leaf case).
 //! * [`EpiOp`] / [`apply_epi`] — the epilogue micro-ops the plan-time
 //!   fusion pass (ft-passes) attaches to GEMMs and elementwise chains.
 //! * [`OwnedBlocks`] — a claim-once disjoint-block view over one output
@@ -75,13 +78,15 @@ mod kernels;
 pub mod math;
 #[cfg(target_arch = "aarch64")]
 mod neon;
+mod run;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 pub use blocks::{BlockGuard, OwnedBlocks};
-pub use epi::{apply_epi, operand_count, EpiOp};
+pub use epi::{apply_epi, leaf_operands, operand_count, EpiOp, MAX_EPI_OPERANDS};
 pub use kernels::*;
+pub use run::Run;
 
 /// Microkernel register-block height (rows of A per panel).
 pub const MR: usize = 4;

@@ -14,7 +14,7 @@
 use core::arch::x86_64::*;
 
 use crate::scalar::{self, poly::*};
-use crate::EpiOp;
+use crate::{EpiOp, Run};
 
 // ---------------------------------------------------------------------------
 // Exact elementwise kernels (AVX2 autovectorized; bitwise == scalar).
@@ -323,28 +323,25 @@ pub unsafe fn madd_avx2(dst: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Applies one epilogue micro-op to a 256-bit register holding
-/// `dst[off..off + 8]`. `extra` is the full operand buffer for binary ops.
+/// Applies one epilogue micro-op to a 256-bit register. Binary ops read
+/// their eight operand elements at `extra`; other ops ignore it.
+///
+/// # Safety
+/// AVX2+FMA must be available, and `extra` must be readable for eight
+/// `f32`s whenever `op.takes_operand()`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn epi_vec256(v: __m256, op: EpiOp, extra: Option<&[f32]>, off: usize) -> __m256 {
-    let ld = |e: Option<&[f32]>| {
-        debug_assert!(e.is_some());
-        match e {
-            Some(s) => _mm256_loadu_ps(s.as_ptr().add(off)),
-            None => _mm256_setzero_ps(),
-        }
-    };
+unsafe fn epi_vec256(v: __m256, op: EpiOp, extra: *const f32) -> __m256 {
     match op {
-        EpiOp::Add => _mm256_add_ps(v, ld(extra)),
-        EpiOp::Sub => _mm256_sub_ps(v, ld(extra)),
-        EpiOp::RSub => _mm256_sub_ps(ld(extra), v),
-        EpiOp::Mul => _mm256_mul_ps(v, ld(extra)),
-        EpiOp::Div => _mm256_div_ps(v, ld(extra)),
-        EpiOp::RDiv => _mm256_div_ps(ld(extra), v),
+        EpiOp::Add => _mm256_add_ps(v, _mm256_loadu_ps(extra)),
+        EpiOp::Sub => _mm256_sub_ps(v, _mm256_loadu_ps(extra)),
+        EpiOp::RSub => _mm256_sub_ps(_mm256_loadu_ps(extra), v),
+        EpiOp::Mul => _mm256_mul_ps(v, _mm256_loadu_ps(extra)),
+        EpiOp::Div => _mm256_div_ps(v, _mm256_loadu_ps(extra)),
+        EpiOp::RDiv => _mm256_div_ps(_mm256_loadu_ps(extra), v),
         EpiOp::Max => {
             // Matches `f32::max` when at most one operand is NaN.
-            let e = ld(extra);
+            let e = _mm256_loadu_ps(extra);
             let m = _mm256_max_ps(v, e);
             let v_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
             let e_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(e, e);
@@ -362,64 +359,198 @@ unsafe fn epi_vec256(v: __m256, op: EpiOp, extra: Option<&[f32]>, off: usize) ->
     }
 }
 
-/// Small (unpacked) product with the epilogue applied in the register
-/// tile: for each output row, full 8-wide column blocks accumulate `a @ b`
-/// with broadcast-FMA over k, then run the epilogue micro-ops on the
-/// accumulator registers before storing. The ragged column tail uses
-/// `mul_add` + the scalar polynomial tails, bitwise identical to the
-/// lanes. `c` must be zero-initialized; `extras` are full `[m, n]`
-/// buffers consumed in `ops` order.
+/// One rows-batched product, viewed as a single `rows × n` output whose
+/// row `r` belongs to leaf `r / m` of the run.
+struct RowsCtx<'a> {
+    a: Run<'a>,
+    b: *const f32,
+    c: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+    ops: &'a [EpiOp],
+    extras: &'a [Run<'a>],
+}
+
+impl RowsCtx<'_> {
+    /// Start of row `r` of the merged A.
+    ///
+    /// # Safety
+    /// `r < a.len() * m` and `a.leaf_len() == m * k`.
+    #[inline]
+    unsafe fn a_row(&self, r: usize) -> *const f32 {
+        let off = self.a.offset(r / self.m) + (r % self.m) * self.k;
+        // SAFETY: `Run` guarantees leaf `r / m` lies inside its buffer, and
+        // row `r % m` of an `m × k` leaf starts inside that leaf.
+        self.a.data().as_ptr().add(off)
+    }
+
+    /// Runs the epilogue over columns `j0..j1` (a whole number of 8-wide
+    /// blocks) of output row `r`, in place.
+    ///
+    /// # Safety
+    /// AVX2+FMA available; `r` and the columns inside the output; every
+    /// extra a run of `a.len()` leaves of `m * n` elements.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn epi_row(&self, r: usize, j0: usize, j1: usize) {
+        if self.ops.is_empty() {
+            return;
+        }
+        let (leaf, row) = (r / self.m, r % self.m);
+        let crow = self.c.add(r * self.n);
+        for j in (j0..j1).step_by(8) {
+            let mut v = _mm256_loadu_ps(crow.add(j));
+            let mut ei = 0usize;
+            for &op in self.ops {
+                let extra = if op.takes_operand() {
+                    let e = &self.extras[ei];
+                    ei += 1;
+                    // SAFETY: leaf `leaf` of `e` holds `m * n` elements and
+                    // `row * n + j + 8 <= m * n`.
+                    e.data().as_ptr().add(e.offset(leaf) + row * self.n + j)
+                } else {
+                    core::ptr::null()
+                };
+                v = epi_vec256(v, op, extra);
+            }
+            _mm256_storeu_ps(crow.add(j), v);
+        }
+    }
+
+    /// One `R`-row × `NB`-column-block register tile at `(r0, j)`:
+    /// accumulate over `k` (each `b` vector loaded once for all `R` rows,
+    /// zero `a` elements skipped), store, then run the epilogue.
+    ///
+    /// # Safety
+    /// AVX2+FMA available; rows `r0..r0 + R` and columns `j..j + 8·NB`
+    /// inside the output; `b` holds `k × n` elements.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile<const R: usize, const NB: usize>(&self, r0: usize, j: usize) {
+        let n = self.n;
+        let mut ap = [core::ptr::null::<f32>(); R];
+        let mut acc = [[_mm256_setzero_ps(); NB]; R];
+        for (i, (a, row)) in ap.iter_mut().zip(&mut acc).enumerate() {
+            *a = self.a_row(r0 + i);
+            for (jb, v) in row.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(self.c.add((r0 + i) * n + j + jb * 8));
+            }
+        }
+        for kk in 0..self.k {
+            let brow = self.b.add(kk * n + j);
+            let mut bv = [_mm256_setzero_ps(); NB];
+            for (jb, v) in bv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(brow.add(jb * 8));
+            }
+            for (a, row) in ap.iter().zip(&mut acc) {
+                let aik = *a.add(kk);
+                if aik == 0.0 {
+                    continue;
+                }
+                let av = _mm256_set1_ps(aik);
+                for (v, b) in row.iter_mut().zip(&bv) {
+                    *v = _mm256_fmadd_ps(av, *b, *v);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate() {
+            for (jb, v) in row.iter().enumerate() {
+                _mm256_storeu_ps(self.c.add((r0 + i) * n + j + jb * 8), *v);
+            }
+            self.epi_row(r0 + i, j, j + 8 * NB);
+        }
+    }
+
+    /// All rows of the `NB`-block column panel at `j`. Wide panels tile two
+    /// rows (8 accumulators + 4 `b` vectors fit the 16 registers); narrow
+    /// ones tile four so there are still enough independent FMA chains.
+    ///
+    /// # Safety
+    /// As [`tile`](Self::tile), for every row.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn col_panel<const NB: usize>(&self, rows: usize, j: usize) {
+        let mut r = 0usize;
+        if NB <= 2 {
+            while r + 4 <= rows {
+                self.tile::<4, NB>(r, j);
+                r += 4;
+            }
+        }
+        while r + 2 <= rows {
+            self.tile::<2, NB>(r, j);
+            r += 2;
+        }
+        if r < rows {
+            self.tile::<1, NB>(r, j);
+        }
+    }
+}
+
+/// The rows-batched small product (see [`crate::small_gemm_epi_rows`]):
+/// full 8-wide column blocks go through the register tiles, the ragged
+/// column tail through `mul_add` and the scalar polynomial tails, bitwise
+/// identical to the lanes.
+///
+/// # Safety
+/// AVX2+FMA must be available. `a.leaf_len() == m * k`, `b.len() >= k * n`,
+/// `c.len() >= a.len() * m * n`, and `extras` holds one run per binary op
+/// of `ops`, each of `a.len()` leaves of `m * n` elements.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn small_gemm_epi_avx2(
-    a: &[f32],
+pub unsafe fn small_gemm_epi_rows_avx2(
+    a: Run<'_>,
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
     c: &mut [f32],
     ops: &[EpiOp],
-    extras: &[&[f32]],
+    extras: &[Run<'_>],
 ) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let row0 = i * n;
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(c.as_ptr().add(row0 + j));
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let bv = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(aik), bv, acc);
+    let rows = a.len() * m;
+    let cx = RowsCtx {
+        a,
+        b: b.as_ptr(),
+        c: c.as_mut_ptr(),
+        m,
+        k,
+        n,
+        ops,
+        extras,
+    };
+    let mut j = 0usize;
+    while j + 32 <= n {
+        cx.col_panel::<4>(rows, j);
+        j += 32;
+    }
+    match (n - j) / 8 {
+        3 => cx.col_panel::<3>(rows, j),
+        2 => cx.col_panel::<2>(rows, j),
+        1 => cx.col_panel::<1>(rows, j),
+        _ => {}
+    }
+    j = n - n % 8;
+    if j == n {
+        return;
+    }
+    let mut buf = [&[][..]; crate::MAX_EPI_OPERANDS];
+    for r in 0..rows {
+        let (leaf, row) = (r / m, r % m);
+        let a_row = &a.leaf(leaf)[row * k..(row + 1) * k];
+        let tail = &mut c[r * n + j..(r + 1) * n];
+        for (kk, &aik) in a_row.iter().enumerate() {
+            if aik == 0.0 {
+                continue;
             }
-            let mut ei = 0usize;
-            for &op in ops {
-                let extra = if op.takes_operand() {
-                    ei += 1;
-                    Some(extras[ei - 1])
-                } else {
-                    None
-                };
-                acc = epi_vec256(acc, op, extra, row0 + j);
+            let b_row = &b[kk * n + j..kk * n + n];
+            for (d, &bv) in tail.iter_mut().zip(b_row) {
+                *d = aik.mul_add(bv, *d);
             }
-            _mm256_storeu_ps(c.as_mut_ptr().add(row0 + j), acc);
-            j += 8;
         }
-        if j < n {
-            let tail = &mut c[row0 + j..row0 + n];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n + j..kk * n + n];
-                for (d, &bv) in tail.iter_mut().zip(b_row) {
-                    *d = aik.mul_add(bv, *d);
-                }
-            }
-            crate::epi::apply_epi_range(crate::Mode::Avx2, tail, ops, extras, row0 + j);
-        }
+        let ex = crate::leaf_operands(extras, leaf, &mut buf);
+        crate::epi::apply_epi_range(crate::Mode::Avx2, tail, ops, ex, row * n + j);
     }
 }
 

@@ -9,8 +9,11 @@
 //!   are bitwise identical to vector-lane elements.
 //! * Fused epilogues: `small_gemm_epi` is bitwise identical to running
 //!   the unfused kernel sequence of the same mode.
+//! * Rows-batched product: `small_gemm_epi_rows` over a run of leaves is
+//!   bitwise identical to one `small_gemm_epi` call per leaf in every
+//!   mode, whatever the strides of `a` and of the epilogue operands.
 
-use ft_simd::{EpiOp, Mode};
+use ft_simd::{EpiOp, Mode, Run};
 use proptest::prelude::*;
 
 /// Every mode the host CPU can execute.
@@ -186,6 +189,87 @@ proptest! {
             for i in 0..m * n {
                 prop_assert!(fused[i].to_bits() == unfused[i].to_bits(),
                     "{:?} ops={:?} i={}", mode, ops, i);
+            }
+        }
+    }
+
+    #[test]
+    // The rows-batched kernel == one small_gemm_epi per leaf, bitwise, in
+    // every mode: contiguous, gapped, reversed and broadcast `a`; epilogue
+    // operands contiguous or broadcast; every register-tile shape (1-5
+    // column blocks with and without a ragged tail, 1-9 merged rows);
+    // exact zeros in `a` against non-finite `b`.
+    fn rows_kernel_equals_per_leaf_calls(
+        raw in proptest::collection::vec(-1024i32..1024, 8..64),
+        len in 1usize..6, m in 1usize..3, k in 1usize..7, n in 1usize..45,
+        a_layout in 0usize..4, shared_extra in 0usize..2, pick in 0usize..5,
+    ) {
+        let fill = |count: usize, salt: usize| -> Vec<f32> {
+            (0..count).map(|i| raw[(i * 7 + salt) % raw.len()] as f32 / 512.0).collect()
+        };
+        // Leaf spacing of `a`: packed, gapped, reversed, or one shared leaf.
+        let (a_start, a_stride) = match a_layout {
+            0 => (0usize, (m * k) as isize),
+            1 => (3, (m * k + 5) as isize),
+            2 => ((len - 1) * (m * k + 2), -((m * k + 2) as isize)),
+            _ => (1, 0),
+        };
+        let mut a_buf = fill(len * (m * k + 5) + 3, 1);
+        // Plant signed zeros so the skip meets the non-finite column below.
+        a_buf[a_start] = 0.0;
+        if m * k > 1 {
+            a_buf[a_start + 1] = -0.0;
+        }
+        let mut b = fill(k * n, 2);
+        b[0] = f32::INFINITY;
+        if n > 1 {
+            b[1] = f32::NEG_INFINITY;
+        }
+        let e_buf = fill(len * m * n, 3);
+        let e_stride = if shared_extra == 1 { 0 } else { (m * n) as isize };
+        let chains: [&[EpiOp]; 5] = [
+            &[],
+            &[EpiOp::Add],
+            &[EpiOp::Add, EpiOp::Tanh],
+            &[EpiOp::Mul, EpiOp::Sigmoid, EpiOp::RSub],
+            &[EpiOp::Scale(1.5), EpiOp::Max],
+        ];
+        let ops = chains[pick];
+        let a = Run::new(&a_buf, a_start, a_stride, m * k, len);
+        let extras: Vec<Run> = (0..ft_simd::operand_count(ops))
+            .map(|_| Run::new(&e_buf, 0, e_stride, m * n, len))
+            .collect();
+        for mode in modes() {
+            let mut batched = vec![0.0f32; len * m * n];
+            ft_simd::small_gemm_epi_rows(mode, a, &b, m, k, n, &mut batched, ops, &extras);
+            for i in 0..len {
+                let ex: Vec<&[f32]> = extras.iter().map(|e| e.leaf(i)).collect();
+                let mut one = vec![0.0f32; m * n];
+                ft_simd::small_gemm_epi(mode, a.leaf(i), &b, m, k, n, &mut one, ops, &ex);
+                // The contract spelled out element by element: k ascending,
+                // zeros of `a` skipped, one rounding per step where fused.
+                let mut oracle = vec![0.0f32; m * n];
+                for (r, row) in oracle.chunks_mut(n).enumerate() {
+                    for (kk, &aik) in a.leaf(i)[r * k..(r + 1) * k].iter().enumerate() {
+                        if aik == 0.0 {
+                            continue;
+                        }
+                        for (d, &bv) in row.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                            // Only AVX2 has a fused small product.
+                            *d = if cfg!(target_arch = "x86_64") && mode.fused() {
+                                aik.mul_add(bv, *d)
+                            } else {
+                                *d + aik * bv
+                            };
+                        }
+                    }
+                }
+                ft_simd::apply_epi(mode, &mut oracle, ops, &ex);
+                for (j, g) in batched[i * m * n..(i + 1) * m * n].iter().enumerate() {
+                    prop_assert!(g.to_bits() == one[j].to_bits() && g.to_bits() == oracle[j].to_bits(),
+                        "{:?} ops={:?} leaf {} elem {}: rows {} per-leaf {} oracle {}",
+                        mode, ops, i, j, g, one[j], oracle[j]);
+                }
             }
         }
     }

@@ -207,7 +207,7 @@ fn check_mm(
     Ok((m, k, n))
 }
 
-fn use_packed(m: usize, k: usize, n: usize) -> bool {
+pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
     m >= MR && n >= NR && m * k * n >= PACK_MIN_FLOPS
 }
 

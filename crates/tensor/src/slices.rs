@@ -18,7 +18,7 @@
 //! All output windows are fully overwritten, so callers may reuse scratch
 //! buffers across iteration points without clearing them.
 
-use ft_simd::EpiOp;
+use ft_simd::{EpiOp, Run};
 
 use crate::linalg;
 
@@ -52,6 +52,40 @@ pub fn matmul_epi(
 ) {
     c.fill(0.0);
     linalg::matmul_epi_into(ft_simd::mode(), a, b, m, k, n, c, ops, extras);
+}
+
+/// [`matmul_epi`] for a whole run of wavefront points that share `b`:
+/// leaf `i` of `a` (`[m, k]`) times `b` (`[k, n]`) lands at `c[i·m·n..]`,
+/// with leaf `i` of every run in `extras` as its epilogue operands.
+///
+/// Small-versus-packed is decided from the *leaf* shape, never from the
+/// merged `len·m` rows, so each leaf takes the kernel (and every element
+/// the FMA sequence) a per-leaf [`matmul_epi`] would: the results are
+/// bitwise equal. Small leaves go to [`ft_simd::small_gemm_epi_rows`] in
+/// one call; packed ones loop.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_epi_rows(
+    a: Run<'_>,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+    ops: &[EpiOp],
+    extras: &[Run<'_>],
+) {
+    let mode = ft_simd::mode();
+    let c = &mut c[..a.len() * m * n];
+    c.fill(0.0);
+    if linalg::use_packed(m, k, n) {
+        let mut buf = [&[][..]; ft_simd::MAX_EPI_OPERANDS];
+        for (i, c_leaf) in c.chunks_exact_mut(m * n).enumerate() {
+            let ex = ft_simd::leaf_operands(extras, i, &mut buf);
+            linalg::matmul_epi_into(mode, a.leaf(i), b, m, k, n, c_leaf, ops, ex);
+        }
+    } else {
+        ft_simd::small_gemm_epi_rows(mode, a, b, m, k, n, c, ops, extras);
+    }
 }
 
 /// [`matmul_transb`] with a fused epilogue.
@@ -283,6 +317,38 @@ mod tests {
                 &mut ct,
             );
             assert_eq!(slice_bits(&ct), bits(&a.matmul_transb(&bt).unwrap()));
+        }
+    }
+
+    #[test]
+    fn matmul_epi_rows_equals_per_leaf_calls_small_and_packed() {
+        // One leaf shape under the packing threshold, one over it; `a`
+        // leaves reversed and gapped, one operand per leaf, one shared.
+        for &(m, k, n, seed) in &[(1, 32, 40, 3u64), (16, 48, 64, 4u64)] {
+            let len = 3usize;
+            let gap = m * k + 7;
+            let a_buf = Tensor::randn(&[len * gap], seed).to_vec();
+            let b = Tensor::randn(&[k, n], seed + 1).to_vec();
+            let per_leaf = Tensor::randn(&[len * m * n], seed + 2).to_vec();
+            let shared = Tensor::randn(&[m * n], seed + 3).to_vec();
+            let a = Run::new(&a_buf, (len - 1) * gap, -(gap as isize), m * k, len);
+            let extras = [
+                Run::new(&per_leaf, 0, (m * n) as isize, m * n, len),
+                Run::new(&shared, 0, 0, m * n, len),
+            ];
+            let ops = [EpiOp::Add, EpiOp::Tanh, EpiOp::Mul];
+            let mut rows = vec![7.0f32; len * m * n]; // Dirty scratch must not leak.
+            matmul_epi_rows(a, &b, m, k, n, &mut rows, &ops, &extras);
+            for i in 0..len {
+                let mut one = vec![7.0f32; m * n];
+                let ex = [extras[0].leaf(i), extras[1].leaf(i)];
+                matmul_epi(a.leaf(i), &b, m, k, n, &mut one, &ops, &ex);
+                assert_eq!(
+                    slice_bits(&rows[i * m * n..(i + 1) * m * n]),
+                    slice_bits(&one),
+                    "{m}x{k}x{n} leaf {i}"
+                );
+            }
         }
     }
 

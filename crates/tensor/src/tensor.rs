@@ -390,6 +390,46 @@ impl Tensor {
         })
     }
 
+    /// Every view obtained by fixing the leading `depth` axes, in row-major
+    /// order of those axes, without copying: the leaves of a flat tensor
+    /// whose leading axes are programmable dimensions. Equal to chaining
+    /// `depth` [`select`](Self::select)s per index, but each view is built
+    /// once from its offset.
+    pub fn leading_views(&self, depth: usize) -> Result<Vec<Tensor>> {
+        if depth > self.rank() {
+            return Err(TensorError::AxisOutOfBounds {
+                axis: depth,
+                rank: self.rank(),
+            });
+        }
+        let lead = &self.dims()[..depth];
+        let shape = Shape::new(&self.dims()[depth..]);
+        let strides = self.strides[depth..].to_vec();
+        let count: usize = lead.iter().product();
+        let mut views = Vec::with_capacity(count);
+        let mut index = vec![0usize; depth];
+        let mut offset = self.offset;
+        for _ in 0..count {
+            views.push(Tensor {
+                data: self.data.clone(),
+                shape: shape.clone(),
+                strides: strides.clone(),
+                offset,
+            });
+            // Odometer step, keeping `offset` in sync with `index`.
+            for axis in (0..depth).rev() {
+                index[axis] += 1;
+                offset += self.strides[axis];
+                if index[axis] < lead[axis] {
+                    break;
+                }
+                offset -= index[axis] * self.strides[axis];
+                index[axis] = 0;
+            }
+        }
+        Ok(views)
+    }
+
     /// Takes every `step`-th index of `axis` starting at `start`, without
     /// copying. This is the materialized form of the paper's *constantly
     /// strided* access operator.
@@ -611,6 +651,32 @@ mod tests {
         assert_eq!(s.get(&[1, 3]).unwrap(), 11.0);
         assert!(t.slice(0, 2, 2).is_err());
         assert!(t.slice(1, 0, 5).is_err());
+    }
+
+    #[test]
+    fn leading_views_equal_chained_selects() {
+        let t = Tensor::randn(&[2, 1, 3, 4], 3).slice(3, 1, 3).unwrap();
+        for depth in 0..=3 {
+            let views = t.leading_views(depth).unwrap();
+            let lead = &t.dims()[..depth];
+            assert_eq!(views.len(), lead.iter().product::<usize>());
+            for (flat, v) in views.iter().enumerate() {
+                let mut want = t.clone();
+                let mut rem = flat;
+                for axis in 0..depth {
+                    let below: usize = lead[axis + 1..].iter().product();
+                    want = want.select(0, rem / below).unwrap();
+                    rem %= below;
+                }
+                assert_eq!(v.dims(), want.dims());
+                assert_eq!(v.to_vec(), want.to_vec(), "depth {depth} view {flat}");
+            }
+        }
+        assert!(t.leading_views(5).is_err());
+        assert!(Tensor::zeros(&[2, 0, 3])
+            .leading_views(2)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -9,10 +9,17 @@
 //! *bit for bit* against the single-threaded run. The proptest then wires
 //! random RNN-family programs through both the pool executor and the naive
 //! `ft_core` interpreter.
+//!
+//! The executor walks each step as runs of consecutive points along the
+//! batch dimension and hands a run's leaf GEMMs to one rows-batched kernel
+//! call, so `run_shapes_match_interpreter_bitwise` sweeps the shapes that
+//! path distinguishes — run length, column blocks and ragged tails of the
+//! register tile, chunk splits, the zero-skip — against the interpreter,
+//! bit for bit.
 
 use std::collections::HashMap;
 
-use ft_backend::{execute, execute_reference};
+use ft_backend::{execute, execute_reference, Executor};
 use ft_core::adt::FractalTensor;
 use ft_core::builders::stacked_rnn_program;
 use ft_core::expr::UdfBuilder;
@@ -22,7 +29,7 @@ use ft_core::{AccessSpec, AxisExpr, BufferId};
 use ft_integration_tests::assert_fractal_close;
 use ft_passes::{compile, CompiledProgram};
 use ft_tensor::Tensor;
-use ft_workloads::{attention, bigbird};
+use ft_workloads::{attention, bigbird, lstm};
 use proptest::prelude::*;
 
 /// Asserts two output maps are bitwise identical (not just close).
@@ -84,6 +91,107 @@ fn bigbird_deterministic_across_thread_counts() {
     let p = bigbird::program(s);
     let inputs = bigbird::inputs(s, 19);
     check_thread_determinism(&compile(&p).unwrap(), &inputs, "bigbird");
+}
+
+/// Rebuilds `ft` with its flat elements edited in place by `f`, which also
+/// gets the flat dims (programmable dims, then leaf dims).
+fn edited(ft: &FractalTensor, f: impl Fn(&mut [f32], &[usize])) -> FractalTensor {
+    let flat = ft.to_flat().unwrap();
+    let mut v = flat.to_vec();
+    f(&mut v, flat.dims());
+    FractalTensor::from_flat(&Tensor::from_vec(v, flat.dims()).unwrap(), ft.depth()).unwrap()
+}
+
+/// Plants the zero-skip case in inputs whose buffer 0 is `x` (`[n, l]` of
+/// `[1, h]`) and buffer 1 the per-layer weights (`[d]` of `[h, cols]`):
+/// every `x` row gets an exact `0.0` and a `-0.0`, and layer 0's weight
+/// rows they multiply are `+inf` / `-inf`. A product that skips zero `a`
+/// elements stays finite; one that does not turns every output NaN.
+fn plant_zero_skip(ins: &mut HashMap<BufferId, FractalTensor>, h: usize) {
+    let x = edited(&ins[&BufferId(0)], |v, _| {
+        for row in v.chunks_mut(h) {
+            row[1] = 0.0;
+            row[h - 2] = -0.0;
+        }
+    });
+    let w = edited(&ins[&BufferId(1)], |v, dims| {
+        let cols = dims[2];
+        v[cols..2 * cols].fill(f32::INFINITY);
+        v[(h - 2) * cols..(h - 1) * cols].fill(f32::NEG_INFINITY);
+    });
+    ins.insert(BufferId(0), x);
+    ins.insert(BufferId(1), w);
+}
+
+/// Every output of the executor equals the interpreter's bit for bit, at
+/// 1, 2 and 8 threads, with and without guard mode.
+fn check_against_interpreter(p: &Program, ins: &HashMap<BufferId, FractalTensor>, ctx: &str) {
+    let expected = run_program(p, ins).unwrap();
+    let compiled = compile(p).unwrap();
+    for threads in [1usize, 2, 8] {
+        for guard in [false, true] {
+            let got = Executor::new()
+                .threads(threads)
+                .guard(guard)
+                .run(&compiled, ins)
+                .unwrap_or_else(|e| panic!("{ctx} threads={threads} guard={guard}: {e}"));
+            let want: HashMap<_, _> = got.keys().map(|id| (*id, expected[id].clone())).collect();
+            assert_bitwise_equal(
+                &want,
+                &got,
+                &format!("{ctx} threads={threads} guard={guard}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn run_shapes_match_interpreter_bitwise() {
+    let (d, l) = (2usize, 3usize);
+    // The batch is the run: length 1, odd, one tile, tile + 1, many tiles.
+    for n in [1usize, 3, 4, 5, 16] {
+        // RNN leaf GEMMs are h wide (1 block + tail, 2, 4, 4 + 1 blocks),
+        // LSTM ones 4h wide (up to 20 blocks).
+        for h in [12usize, 16, 32, 40] {
+            let mut ins = rnn_inputs(n, d, l, h, (n * 100 + h) as u64);
+            plant_zero_skip(&mut ins, h);
+            let p = stacked_rnn_program(n, d, l, h);
+            check_against_interpreter(&p, &ins, &format!("rnn n={n} h={h}"));
+
+            let s = lstm::LstmShape {
+                batch: n,
+                hidden: h,
+                depth: d,
+                seq: l,
+            };
+            let mut ins = lstm::inputs(s, (n * 100 + h + 1) as u64);
+            plant_zero_skip(&mut ins, h);
+            check_against_interpreter(&lstm::program(s), &ins, &format!("lstm n={n} h={h}"));
+        }
+    }
+}
+
+#[test]
+fn runs_are_cut_where_extern_storage_is_not_one_buffer() {
+    // A fused serving batch concatenates requests, so the batch rows of
+    // `xss` live in different buffers (and here one row is a strided
+    // view): a run along the batch cannot address them by one stride.
+    let (n, d, l, h) = (5usize, 2usize, 4usize, 16usize);
+    let rows: Vec<FractalTensor> = (0..n)
+        .map(|i| {
+            let t = Tensor::randn(&[l, 1, 2 * h], 40 + i as u64);
+            let row = if i == 2 {
+                t.slice(2, h, 2 * h).unwrap()
+            } else {
+                t.slice(2, 0, h).unwrap().to_contiguous()
+            };
+            FractalTensor::from_flat(&row, 1).unwrap()
+        })
+        .collect();
+    let mut ins = rnn_inputs(n, d, l, h, 77);
+    ins.insert(BufferId(0), FractalTensor::nested(rows).unwrap());
+    let p = stacked_rnn_program(n, d, l, h);
+    check_against_interpreter(&p, &ins, "rnn over per-request storage");
 }
 
 /// Randomized RNN-family program: random extents, carried-read stride, and
