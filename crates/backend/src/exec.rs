@@ -9,7 +9,7 @@
 //! dimension, the one `Reordering::reuse_dims` made the reuse dimension.
 //! A chunk is a range of points, walked as run segments; per segment each
 //! member's domain is intersected once into an interval, each access of
-//! the [`GroupPlan`](crate::plan::GroupPlan) is range-checked at the
+//! the group plan (`crate::plan::GroupPlan`) is range-checked at the
 //! segment's two ends and then advances by its stride, and every UDF
 //! statement is evaluated once over all the segment's leaves — a leaf
 //! GEMM whose weight has stride 0 along the run becomes one rows-batched

@@ -14,7 +14,7 @@
 //!   intermediates through a dense per-point scratch-slot table — the
 //!   register/shared-memory forwarding a fused macro-kernel performs on
 //!   the GPU.
-//! * [`reference`] — the pre-pool executor (scoped-thread spawn per
+//! * [`mod@reference`] — the pre-pool executor (scoped-thread spawn per
 //!   wavefront step, hashed overlay), kept as the benchmark baseline and
 //!   a differential oracle.
 //! * [`emit`] — the code emitter: walks the same schedule and renders each

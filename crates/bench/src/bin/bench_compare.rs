@@ -158,14 +158,6 @@ fn extract(baseline: &Value, current: &Value) -> Result<(Vec<MetricCmp>, Vec<Str
                     &["batched_vs_unbatched_throughput"][..],
                     false,
                 ),
-                // Ragged cross-tenant fusion vs per-shape compilation on the
-                // mixed-length scenario. Absent from baselines older than the
-                // shape-polymorphic runtime; those skip the pair.
-                (
-                    "serve.mixed_length.ragged_vs_per_shape",
-                    &["mixed_length", "ragged_vs_per_shape_throughput"][..],
-                    false,
-                ),
                 // Steady-state decode throughput win from fusing concurrent
                 // session steps into one wavefront launch per tick. Absent
                 // from baselines older than stateful sessions; those skip
@@ -309,19 +301,19 @@ fn self_test() -> bool {
         r#"{"bench": "serve", "setup": {"speedup": 2.0},
             "batched_vs_unbatched_throughput": 2.0}"#,
     );
-    // Report with the mixed-length ragged-fusion headline. Compared
-    // against `serve_base` (which predates the field) the pair must be
-    // skipped, not treated as a regression or an error.
-    let serve_ragged = parse(
+    // Report with the continuous-batching headline. Compared against
+    // `serve_base` (which predates the field) the pair must be skipped,
+    // not treated as a regression or an error.
+    let serve_sessions = parse(
         r#"{"bench": "serve", "setup": {"speedup": 300.0},
             "batched_vs_unbatched_throughput": 2.0,
-            "mixed_length": {"ragged_vs_per_shape_throughput": 2.6}}"#,
+            "sessions": {"continuous_vs_solo_tokens_per_sec": 2.6}}"#,
     );
-    // 35% collapse of the ragged-fusion ratio: must be detected.
-    let serve_ragged_regressed = parse(
+    // 35% collapse of the continuous-batching ratio: must be detected.
+    let serve_sessions_regressed = parse(
         r#"{"bench": "serve", "setup": {"speedup": 300.0},
             "batched_vs_unbatched_throughput": 2.0,
-            "mixed_length": {"ragged_vs_per_shape_throughput": 1.7}}"#,
+            "sessions": {"continuous_vs_solo_tokens_per_sec": 1.7}}"#,
     );
 
     let mut ok = true;
@@ -364,12 +356,12 @@ fn self_test() -> bool {
     println!("serve: setup amortization collapse");
     let r = compare(&serve_base, &serve_collapsed, 0.15);
     check("serve amortization collapse detected", true, r);
-    println!("serve: baseline predates mixed-length ratio");
-    let r = compare(&serve_base, &serve_ragged, 0.15);
-    check("serve old baseline skips ragged pair", false, r);
-    println!("serve: ragged fusion collapse injected");
-    let r = compare(&serve_ragged, &serve_ragged_regressed, 0.15);
-    check("serve ragged collapse detected", true, r);
+    println!("serve: baseline predates the sessions ratio");
+    let r = compare(&serve_base, &serve_sessions, 0.15);
+    check("serve old baseline skips sessions pair", false, r);
+    println!("serve: continuous batching collapse injected");
+    let r = compare(&serve_sessions, &serve_sessions_regressed, 0.15);
+    check("serve sessions collapse detected", true, r);
     println!("empty intersection");
     let empty = parse(r#"{"bench": "exec", "exec": []}"#);
     let pass = compare(&empty, &empty, 0.15).is_err();

@@ -32,13 +32,11 @@
 //! width (outer extents 3..=8, one per tenant — a single factor-of-4
 //! length bucket), pre-generated inputs, and a deliberately step-bound
 //! shape (depth 1, seq 1024, hidden 2).
-//! Concurrent traffic therefore always mixes lengths *across* sources —
-//! exact-signature batching can only fuse within one tenant, so per-shape
-//! serving (poly off: one verified compile per distinct length and fused
-//! width) runs every request solo, while the shape-polymorphic runtime
-//! (poly on: a single verified family, dispatch-time stride/size
-//! evaluation) fuses ragged batches across tenants by length bucket. Each
-//! mode runs three times and the median-throughput run is reported.
+//! Concurrent traffic therefore always mixes lengths *across* sources: the
+//! runtime serves them from a single verified family (dispatch-time
+//! stride/size evaluation) and fuses ragged batches across tenants by
+//! length bucket. It runs three times and the median-throughput run is
+//! reported.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -465,16 +463,11 @@ fn run_chaos(smoke: bool) -> Value {
     })
 }
 
-/// One mixed-length serving mode: `clients` closed-loop threads rotate
+/// One mixed-length serving run: `clients` closed-loop threads rotate
 /// over the outer-extent distribution. The timed section deliberately
-/// starts cold — paying (or not paying) per-shape compile+verify is
-/// exactly what the scenario measures.
-fn mixed_length_mode(
-    poly: bool,
-    extents: &[usize],
-    clients: usize,
-    per_client: usize,
-) -> (Value, f64) {
+/// starts cold — the one family build is part of what the scenario
+/// measures.
+fn mixed_length_run(extents: &[usize], clients: usize, per_client: usize) -> (Value, f64) {
     // Deliberately more step-bound than SHAPE (longer sequence, narrower
     // hidden): per-wavefront-step work is small, so launch cost is
     // dominated by the fixed per-step synchronization that fusion
@@ -489,7 +482,6 @@ fn mixed_length_mode(
         Runtime::try_new(ServeConfig {
             threads: 8,
             max_batch: 16,
-            poly,
             ..ServeConfig::default()
         })
         .expect("serve runtime construction"),
@@ -507,9 +499,7 @@ fn mixed_length_mode(
                     // with a stable characteristic request width (tenants
                     // rarely change payload shape request to request), so
                     // concurrent traffic always mixes lengths ACROSS
-                    // sources. Exact-signature batching can only ever fuse
-                    // within one tenant; ragged fusion works across all of
-                    // them.
+                    // sources; ragged fusion works across all of them.
                     let _ = r;
                     let which = c % extents.len();
                     let n = extents[which];
@@ -566,8 +556,7 @@ fn mixed_length_mode(
         0.0
     };
     eprintln!(
-        "mixed-length {:9} {:6.0} req/s   plans {}   compiles {}   batches {}   mean batch {:.2}   ragged fb {}",
-        if poly { "ragged" } else { "per-shape" },
+        "mixed-length ragged {:6.0} req/s   plans {}   compiles {}   batches {}   mean batch {:.2}   ragged fb {}",
         throughput,
         stats.cached_plans,
         stats.cache_misses,
@@ -590,47 +579,27 @@ fn mixed_length_mode(
     )
 }
 
-/// Mixed-length (ragged) serving scenario — the shape-rigidity fix under a
-/// realistic length distribution. Requests draw their outer extent from
-/// `EXTENTS`; "per_shape" (poly off) compiles and verifies one exact plan
-/// per distinct length *and per fused batch width*, and can only fuse
-/// equal-length requests; "ragged" (poly on) builds one verified symbolic
-/// family, instantiates it per dispatched total extent by evaluating the
-/// stride/size formulas, and fuses across nearby lengths (power-of-two
-/// buckets).
+/// Mixed-length (ragged) serving scenario under a realistic length
+/// distribution. Requests draw their outer extent from `extents`; the
+/// runtime builds one verified symbolic family, instantiates it per
+/// dispatched total extent by evaluating the stride/size formulas, and
+/// fuses across nearby lengths (factor-of-4 buckets).
 ///
-/// Requests are *narrow* (outer extents 1..=8 against an 8-thread pool),
+/// Requests are *narrow* (outer extents 3..=8 against an 8-thread pool),
 /// so an unfused launch leaves most workers idle — the regime where
-/// batching matters. Per-shape batching can only fuse requests whose
-/// lengths match *exactly*, and with eight lengths interleaved such
-/// matches are scarce at the queue head; ragged bucketing fuses across
-/// nearby lengths, so the same traffic fills the pool.
+/// batching matters.
 fn run_mixed_length(smoke: bool) -> Value {
     let extents: Vec<usize> = (3..=8).collect();
     let clients = 6usize;
     let per_client = if smoke { 4 } else { 40 };
-    // Median of three alternating repetitions per mode: single runs on a
-    // shared host jitter by 10-20%, and a committed headline ratio should
-    // not be one draw from that distribution.
+    // Median of three repetitions: single runs on a shared host jitter by
+    // 10-20%.
     let reps = if smoke { 1 } else { 3 };
-    let mut per_shape_runs = Vec::new();
-    let mut ragged_runs = Vec::new();
-    for _ in 0..reps {
-        per_shape_runs.push(mixed_length_mode(false, &extents, clients, per_client));
-        ragged_runs.push(mixed_length_mode(true, &extents, clients, per_client));
-    }
-    let median = |mut runs: Vec<(Value, f64)>| -> (Value, f64) {
-        runs.sort_by(|a, b| a.1.total_cmp(&b.1));
-        runs.swap_remove(runs.len() / 2)
-    };
-    let (per_shape, per_shape_rps) = median(per_shape_runs);
-    let (ragged, ragged_rps) = median(ragged_runs);
-    let ratio = if per_shape_rps > 0.0 {
-        ragged_rps / per_shape_rps
-    } else {
-        0.0
-    };
-    eprintln!("mixed-length ragged vs per-shape throughput (median of {reps}): {ratio:.2}x");
+    let mut runs: Vec<(Value, f64)> = (0..reps)
+        .map(|_| mixed_length_run(&extents, clients, per_client))
+        .collect();
+    runs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let (ragged, _) = runs.swap_remove(runs.len() / 2);
     let distribution = json!({
         "min": extents[0] as u64,
         "max": *extents.last().unwrap() as u64,
@@ -642,8 +611,6 @@ fn run_mixed_length(smoke: bool) -> Value {
         "requests": (clients * per_client) as u64,
         "reps": reps as u64,
         "ragged": ragged,
-        "per_shape": per_shape,
-        "ragged_vs_per_shape_throughput": ratio,
     })
 }
 

@@ -107,7 +107,7 @@ pub enum OpCode {
 impl OpCode {
     /// True for the compute-intensive operations that anchor kernel fusion
     /// (§2: "a compiler needs to precisely identify both memory-intensive
-    /// and computation-intensive operations and jointly fuse [them]").
+    /// and computation-intensive operations and jointly fuse \[them\]").
     pub fn is_compute_intensive(&self) -> bool {
         matches!(
             self,

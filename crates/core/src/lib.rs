@@ -49,7 +49,9 @@ pub use poly::{analyze_outer, with_outer_extent, OuterInfo};
 pub use program::{
     BufferDecl, BufferId, BufferKind, CarriedInit, CoreError, Nest, OpKind, Program, Read, Write,
 };
-pub use sig::{poly_split, program_signature, structural_bytes, PolySplit, ProgramSig, StructKey};
+pub use sig::{
+    family_split, poly_split, program_signature, structural_bytes, PolySplit, ProgramSig, StructKey,
+};
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -87,9 +87,9 @@ fn merge(role: &mut Role, batched: bool) -> bool {
 /// Decides whether `program` has a polymorphic outer axis, and how each
 /// buffer participates.
 ///
-/// Returns `None` when any rule in the module docs is violated; such
-/// programs compile per concrete shape and batch only with identical
-/// extents.
+/// Returns `None` when any rule in the module docs is violated; such a
+/// program is a family of one extent ([`crate::sig::family_split`]) and
+/// is never fused.
 pub fn analyze_outer(program: &Program) -> Option<OuterInfo> {
     let first_nest = program.nests.first()?;
     if *first_nest.ops.first()? != OpKind::Map {
@@ -144,11 +144,14 @@ pub fn analyze_outer(program: &Program) -> Option<OuterInfo> {
 /// nest's outer extent and every batched buffer's outer dimension set to
 /// `new_extent`. Shared buffers keep their shape; structure is otherwise
 /// identical, so all instances share one [`crate::sig::poly_split`] key.
+/// At the program's own extent this is the identity — the only instance a
+/// one-extent family has.
 pub fn with_outer_extent(program: &Program, info: &OuterInfo, new_extent: usize) -> Program {
     let mut inst = program.clone();
-    if new_extent != info.batch_extent {
-        inst.name = format!("{}[L={new_extent}]", program.name);
+    if new_extent == info.batch_extent {
+        return inst;
     }
+    inst.name = format!("{}[L={new_extent}]", program.name);
     for (decl, &is_batched) in inst.buffers.iter_mut().zip(&info.batched) {
         if is_batched {
             if let Some(outer) = decl.dims.first_mut() {

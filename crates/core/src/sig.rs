@@ -9,20 +9,30 @@
 //! produce the same byte stream, which is exactly the key the serving
 //! layer's compiled-plan cache needs: repeated submissions of the same
 //! workload hit one cache entry regardless of how callers labeled their
-//! buffers. Every variable-length field is prefixed with its length and
-//! every enum with a discriminant tag, so distinct structures cannot
-//! produce the same bytes by concatenation ambiguity — byte equality *is*
-//! structural equality.
+//! buffers. Every variable-length field is prefixed with its length,
+//! every enum with a discriminant tag, and every integer is a
+//! self-delimiting LEB128 varint, so distinct structures cannot produce
+//! the same bytes by concatenation ambiguity — byte equality *is*
+//! structural equality. Varints keep the stream a few hundred bytes (the
+//! values are small extents, ids and offsets): every request carries its
+//! family's bytes from admission to completion, so their size is paid per
+//! request, in hashing and in an allocation that crosses threads.
 //!
 //! [`program_signature`] is a 128-bit FNV-1a over those bytes: a
 //! self-contained hash so signatures are stable across processes and
 //! toolchains (no `DefaultHasher` seeding concerns). FNV is fast but not
 //! collision-resistant, and a serving process accepts arbitrary programs,
-//! so the signature alone must never be treated as proof of structural
-//! identity: `ft_passes::PlanCache` stores the structural bytes next to
-//! each plan and verifies byte equality on every hit, so a colliding
-//! signature (accidental or adversarial) degrades to an extra compile, not
-//! to serving the wrong plan.
+//! so a hash alone must never be treated as proof of structural identity:
+//! the plan cache (`ft_passes::PolyCache`) stores the bytes behind each
+//! key and verifies byte equality on every hit, and the serving layer
+//! compares them before putting two requests in one launch, so a colliding
+//! key (accidental or adversarial) degrades to an extra compile, not to
+//! serving the wrong plan.
+//!
+//! The cache key is the *family* identity ([`family_split`]): the
+//! structural bytes with the polymorphic outer extent masked out when the
+//! program has one ([`poly_split`]), the plain bytes — a family of exactly
+//! one extent — when it does not.
 
 use crate::access::{AccessSpec, AxisExpr};
 use crate::expr::{OpCode, Operand, Udf};
@@ -32,12 +42,6 @@ use crate::program::{BufferKind, CarriedInit, OpKind, Program, Read, Write};
 /// A structural program signature (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgramSig(pub u128);
-
-impl std::fmt::Display for ProgramSig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
 
 /// A shape-insensitive structural key: [`ProgramSig`] with the polymorphic
 /// outer extent masked out of the hashed bytes. Every instance of one
@@ -53,39 +57,67 @@ impl std::fmt::Display for StructKey {
     }
 }
 
-/// A program signature split into its shape-insensitive part and the shape
-/// tuple, produced by [`poly_split`].
+/// A program's family identity: its shape-insensitive part plus the shape
+/// tuple, produced by [`family_split`] (total) or [`poly_split`] (only when
+/// the outer axis is polymorphic).
 #[derive(Debug, Clone)]
 pub struct PolySplit {
-    /// Hash of [`bytes`](Self::bytes) — the family cache key.
+    /// Hash of [`bytes`](Self::bytes) — the plan cache key. A candidate,
+    /// never proof: compare [`bytes`](Self::bytes) before trusting it.
     pub key: StructKey,
     /// Masked structural bytes: like [`structural_bytes`] but with every
     /// nest's outer extent and every batched buffer's outer dimension
-    /// replaced by a sentinel. Byte equality is family identity (the
-    /// family cache verifies hits against these, mirroring the plan
-    /// cache's collision discipline).
+    /// replaced by a sentinel (nothing is masked in a one-extent family).
+    /// Byte equality is family identity.
     pub bytes: Vec<u8>,
     /// The shape tuple: the one designated symbolic extent, concrete in
     /// this instance. Everything else about the shape stays baked into
     /// [`bytes`](Self::bytes).
     pub outer_extent: usize,
-    /// Buffer classification backing the mask (and ragged batching).
+    /// Buffer classification backing the mask (and ragged batching). All
+    /// `shared` in a one-extent family.
     pub info: OuterInfo,
+    /// False for a one-extent family: the program has no polymorphic outer
+    /// axis, so the family exists only at
+    /// [`outer_extent`](Self::outer_extent).
+    pub polymorphic: bool,
 }
 
 /// Splits a program's signature into a shape-insensitive [`StructKey`]
 /// plus the concrete outer extent, when the program has a polymorphic
 /// outer axis ([`analyze_outer`]). Returns `None` for programs whose
-/// outer axis carries dependences — those keep exact-shape signatures.
+/// outer axis carries dependences — [`family_split`] gives those a
+/// one-extent family.
 pub fn poly_split(p: &Program) -> Option<PolySplit> {
-    let info = analyze_outer(p)?;
-    let bytes = bytes_with_mask(p, Some(&info));
-    Some(PolySplit {
+    analyze_outer(p).map(|info| split_with(p, Some(info)))
+}
+
+/// The family every program belongs to: [`poly_split`] when the outer axis
+/// is polymorphic, otherwise a **one-extent family** — identity is the
+/// unmasked [`structural_bytes`], every buffer is shared, and the only
+/// extent is the program's own (its first nest's outer extent).
+pub fn family_split(p: &Program) -> PolySplit {
+    split_with(p, analyze_outer(p))
+}
+
+fn split_with(p: &Program, outer: Option<OuterInfo>) -> PolySplit {
+    let bytes = bytes_with_mask(p, outer.as_ref());
+    let polymorphic = outer.is_some();
+    let info = outer.unwrap_or_else(|| OuterInfo {
+        batch_extent: p
+            .nests
+            .first()
+            .and_then(|n| n.extents.first().copied())
+            .unwrap_or(1),
+        batched: vec![false; p.buffers.len()],
+    });
+    PolySplit {
         key: StructKey(fnv128(&bytes)),
         bytes,
         outer_extent: info.batch_extent,
         info,
-    })
+        polymorphic,
+    }
 }
 
 /// The canonical structural byte stream builder (see the module docs).
@@ -96,12 +128,18 @@ impl SigBytes {
         SigBytes(Vec::with_capacity(256))
     }
 
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+    /// LEB128: seven bits per byte, high bit set on all but the last.
+    fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
     }
 
+    /// Zigzag, so small negative offsets stay one byte.
     fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
+        self.u64(((v << 1) ^ (v >> 63)) as u64);
     }
 
     fn usize(&mut self, v: usize) {
@@ -133,14 +171,13 @@ fn fnv128(bytes: &[u8]) -> u128 {
 /// The canonical name-insensitive serialization of a program's structure.
 ///
 /// Byte equality of two programs' structural bytes is exactly "these two
-/// programs compile to the same schedule"; the plan cache uses it to
-/// verify signature hits (see the module docs).
+/// programs compile to the same schedule" (see the module docs).
 pub fn structural_bytes(p: &Program) -> Vec<u8> {
     bytes_with_mask(p, None)
 }
 
 /// Sentinel serialized in place of masked extents. No real extent can be
-/// `u64::MAX` (such a buffer could not exist in memory), and the family
+/// `u64::MAX` (such a buffer could not exist in memory), and the plan
 /// cache byte-verifies hits anyway, so an accidental collision degrades
 /// to an extra compile, never to serving the wrong family.
 const POLY_SENTINEL: u64 = u64::MAX;
@@ -374,6 +411,17 @@ mod tests {
     }
 
     #[test]
+    fn integers_are_self_delimiting_varints() {
+        let mut h = SigBytes::new();
+        for v in [127, 128, POLY_SENTINEL] {
+            h.u64(v);
+        }
+        h.i64(-1);
+        assert_eq!(h.0[..3], [0x7f, 0x80, 0x01]);
+        assert_eq!((h.0.len(), h.0.last()), (1 + 2 + 10 + 1, Some(&0x01)));
+    }
+
+    #[test]
     fn signature_is_deterministic() {
         let a = program_signature(&stacked_rnn_program(2, 3, 4, 8));
         let b = program_signature(&stacked_rnn_program(2, 3, 4, 8));
@@ -455,11 +503,28 @@ mod tests {
     }
 
     #[test]
-    fn poly_split_rejects_outer_dependences() {
-        let mut p = stacked_rnn_program(2, 3, 4, 8);
-        for nest in &mut p.nests {
-            nest.ops[0] = OpKind::ScanL;
-        }
+    fn outer_dependences_make_a_one_extent_family() {
+        let outer_scan = |n| {
+            let mut p = stacked_rnn_program(n, 3, 4, 8);
+            for nest in &mut p.nests {
+                nest.ops[0] = OpKind::ScanL;
+            }
+            p
+        };
+        let p = outer_scan(2);
         assert!(poly_split(&p).is_none());
+        let s = family_split(&p);
+        assert!(!s.polymorphic);
+        assert_eq!(s.outer_extent, 2);
+        assert_eq!(s.bytes, structural_bytes(&p));
+        assert_eq!(s.key.0, program_signature(&p).0);
+        assert!(s.info.batched.iter().all(|&b| !b));
+        // Nothing is masked, so another extent is another family.
+        assert_ne!(family_split(&outer_scan(3)).bytes, s.bytes);
+        // With a polymorphic axis the two constructors agree.
+        let q = stacked_rnn_program(2, 3, 4, 8);
+        let (a, b) = (family_split(&q), poly_split(&q).unwrap());
+        assert!(a.polymorphic);
+        assert_eq!((a.key, a.bytes), (b.key, b.bytes));
     }
 }

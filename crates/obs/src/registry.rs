@@ -5,7 +5,7 @@
 //! after that a cloned handle is a bare `Arc` and every update is a
 //! relaxed atomic operation — no lock is touched on the hot path. Call
 //! sites that cannot conveniently hold a handle can use the by-name free
-//! functions on the [global] registry, which cost one shard read-lock
+//! functions on the [`Registry::global`] registry, which cost one shard read-lock
 //! plus a hash lookup.
 //!
 //! Semantics, fixing the `ft_probe::counter` misuse this replaces:

@@ -32,8 +32,8 @@ pub struct TraceContext {
     pub request_id: u64,
     /// Stateful-session id, when the request belongs to one.
     pub session_id: Option<u64>,
-    /// The program's structural plan signature (hex), shared by every
-    /// request that resolves to the same cached plan.
+    /// The key of the plan family the program belongs to (hex), shared by
+    /// every request that resolves to the same cached plan.
     pub plan_sig: String,
     /// The fused launch this request rode in, set at dispatch.
     pub batch_id: Option<u64>,

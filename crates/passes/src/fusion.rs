@@ -10,7 +10,7 @@
 //!    executor inside the GEMM register tile. Gate activations in the
 //!    LSTM / stacked-RNN workloads stop round-tripping through the arena.
 //! 3. **Elementwise-chain collapse** — a remaining single-use chain of
-//!    two or more elementwise statements becomes one [`EwChain`].
+//!    two or more elementwise statements becomes one [`OpCode::EwChain`].
 //!
 //! Legality is purely structural and checked twice: each candidate chain
 //! must be single-use, shape-preserving, and reference only operands

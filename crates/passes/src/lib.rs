@@ -8,7 +8,7 @@
 //!   operators,
 //! * [`lower`] — operation-node lowering: user-defined math functions
 //!   decompose into finer-grained child block nodes (Figure 5),
-//! * [`coarsen`] — width-wise coarsening (horizontal and vertical block
+//! * [`mod@coarsen`] — width-wise coarsening (horizontal and vertical block
 //!   merging) and depth-wise dimension merging, plus access-map fusion
 //!   (copy elimination by composing access matrices),
 //! * [`depend`] — dependence distance vectors per Table 4, derived exactly
@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod coarsen;
 pub mod compose;
 pub mod depend;
@@ -35,7 +34,6 @@ pub mod pipeline;
 pub mod poly;
 pub mod reorder;
 
-pub use cache::PlanCache;
 pub use coarsen::{coarsen, CoarsePlan, Group, MergeKind};
 pub use compose::compose_ops;
 pub use depend::distance_vectors;

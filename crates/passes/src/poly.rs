@@ -1,11 +1,13 @@
-//! Shape-polymorphic plans: one compiled schedule serving every outer
-//! extent.
+//! Plan families: one compiled schedule serving every outer extent, and
+//! the one cache that holds them.
 //!
 //! The schedule a program compiles to (§5.1–§5.2) depends on loop
 //! *structure*; for a program whose outer axis is a pure `map`
 //! (`ft_core::poly::analyze_outer`), the extent of that axis affects only
 //! how *wide* the wavefront runs and how *large* the batched buffers are.
-//! This module exploits that:
+//! A program without such an axis is the same thing with nothing symbolic:
+//! a family of one extent, every formula a constant. This module exploits
+//! that:
 //!
 //! * [`plan_memory_symbolic`] re-runs the layout/lifetime pass of
 //!   `crate::layout` with sizes in [`ft_affine::Lin`] — degree-1 formulas
@@ -17,10 +19,24 @@
 //!   concrete extent by re-extenting the program, re-running only the
 //!   (cheap, structure-preserving) scheduling passes, and evaluating the
 //!   memory template — no fresh lifetime analysis, no fresh first-fit.
-//! * [`PolyCache`] keys families by the shape-insensitive
-//!   [`ft_core::StructKey`], with the same byte-verified collision
-//!   discipline as [`crate::PlanCache`]: one entry serves a whole length
-//!   distribution.
+//! * [`PolyCache`] is the compiled-plan cache, keyed by the family
+//!   identity ([`ft_core::family_split`]): one entry serves a whole length
+//!   distribution, repeated submissions skip parse, coarsen, reorder (and
+//!   any caller-supplied verification) entirely.
+//!
+//! Cache trust model: the key is a fast non-cryptographic FNV-1a, and a
+//! serving process accepts arbitrary programs, so a key match is treated
+//! as a *candidate*, never as proof of identity. Each entry stores the
+//! family's structural bytes and a hit is only declared after byte-exact
+//! verification; programs whose keys collide (accidental at scale, or
+//! engineered — FNV is not collision-resistant) simply occupy separate
+//! slots under one key. A collision therefore costs one extra build and
+//! can never return a plan compiled from a different program.
+//! Concurrency: lookups take a read lock; a miss builds *outside* any lock
+//! and inserts under a short write lock. Two racing builders of one family
+//! both succeed and the first insert wins — wasted work, not
+//! incorrectness. Hits and misses are counted on the cache and mirrored to
+//! the `passes.plan_cache_hits` / `passes.plan_cache_misses` counters.
 //!
 //! Soundness of the symbolic first-fit: a free range is reused only when
 //! it *dominates* the request componentwise ([`Lin::dominates`]), which
@@ -40,7 +56,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use ft_affine::Lin;
 use ft_core::poly::with_outer_extent;
-use ft_core::sig::{poly_split, PolySplit};
+use ft_core::sig::{family_split, poly_split, PolySplit};
 use ft_core::{BufferKind, OuterInfo, Program, StructKey};
 use ft_etdg::Etdg;
 
@@ -377,9 +393,19 @@ impl PolyPlan {
     /// not polymorphic. The template extent is the program's own extent;
     /// the instance memo is primed with it.
     pub fn build(program: &Program) -> Result<Option<PolyPlan>> {
-        let Some(split) = poly_split(program) else {
-            return Ok(None);
-        };
+        poly_split(program)
+            .map(|split| Self::from_split(program, split))
+            .transpose()
+    }
+
+    /// The family of `program`, total: [`build`](Self::build) when the
+    /// outer axis is polymorphic, otherwise a one-extent family whose only
+    /// instance is the program as declared.
+    pub fn family(program: &Program) -> Result<PolyPlan> {
+        Self::from_split(program, family_split(program))
+    }
+
+    fn from_split(program: &Program, split: PolySplit) -> Result<PolyPlan> {
         let (etdg, _plan, groups) = compile_scheduled(program)?;
         let template =
             plan_memory_symbolic(&etdg, &groups, &split.info.batched, split.outer_extent)?;
@@ -393,18 +419,13 @@ impl PolyPlan {
             template_fallbacks: AtomicU64::new(0),
         };
         plan.instance(plan.split.outer_extent)?;
-        Ok(Some(plan))
+        Ok(plan)
     }
 
-    /// The shape-insensitive family key.
-    pub fn key(&self) -> StructKey {
-        self.split.key
-    }
-
-    /// The masked structural bytes backing the key (family identity for
-    /// byte-verified cache hits).
-    pub fn bytes(&self) -> &[u8] {
-        &self.split.bytes
+    /// False for a one-extent family: [`instance`](Self::instance) is
+    /// defined only at [`template_extent`](Self::template_extent).
+    pub fn polymorphic(&self) -> bool {
+        self.split.polymorphic
     }
 
     /// Buffer roles along the polymorphic axis.
@@ -447,6 +468,13 @@ impl PolyPlan {
             return Err(PassError::Invalid(
                 "cannot instantiate a plan at outer extent 0".into(),
             ));
+        }
+        if !self.split.polymorphic && l != self.split.outer_extent {
+            return Err(PassError::Invalid(format!(
+                "the program has no polymorphic outer axis: its family exists at \
+                 extent {} only, not {l}",
+                self.split.outer_extent
+            )));
         }
         if let Ok(m) = self.instances.read() {
             if let Some(p) = m.get(&l) {
@@ -546,17 +574,16 @@ impl std::fmt::Debug for PolyPlan {
     }
 }
 
-/// One verified family slot (masked structural bytes + the family).
+/// One verified slot: the family's structural bytes plus the family.
 struct FamilyEntry {
     bytes: Box<[u8]>,
     family: Arc<PolyPlan>,
 }
 
-/// A concurrent cache of plan families keyed by the shape-insensitive
-/// [`StructKey`], with byte-exact verification of the *masked* structural
-/// bytes on every hit — the same collision discipline as
-/// [`crate::PlanCache`], one level up: a single entry here serves every
-/// outer extent of one program structure.
+/// The compiled-plan cache: plan families keyed by [`StructKey`], with
+/// byte-exact verification of the family's structural bytes on every hit
+/// (see the module docs). A single entry serves every outer extent of one
+/// program structure.
 #[derive(Default)]
 pub struct PolyCache {
     map: RwLock<HashMap<StructKey, Vec<FamilyEntry>>>,
@@ -570,7 +597,7 @@ impl PolyCache {
         Self::default()
     }
 
-    /// Number of cached families.
+    /// Number of cached families (colliding keys count each slot).
     pub fn len(&self) -> usize {
         self.map
             .read()
@@ -583,12 +610,12 @@ impl PolyCache {
         self.len() == 0
     }
 
-    /// Family-cache hits so far.
+    /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Family-cache misses (= family builds) so far.
+    /// Cache misses (= family builds triggered through this cache) so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -606,6 +633,8 @@ impl PolyCache {
             .unwrap_or(0)
     }
 
+    /// A lookup that only succeeds when the stored bytes match the probe's
+    /// exactly — a colliding key is a miss, not a hit.
     fn lookup_verified(&self, split: &PolySplit) -> Option<Arc<PolyPlan>> {
         let found = self.map.read().ok().and_then(|m| {
             m.get(&split.key)?
@@ -614,19 +643,17 @@ impl PolyCache {
                 .map(|e| Arc::clone(&e.family))
         });
         if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            ft_obs::Registry::global()
-                .counter("passes.poly_cache_hits")
-                .inc();
-            ft_probe::counter("passes.poly_cache_hits", 1.0);
+            count(&self.hits, "passes.plan_cache_hits");
         }
         found
     }
 
-    /// The cached family for `split`'s structure, or builds one with
-    /// `build_fn` (e.g. `ft-verify`'s `build_poly_verified`) and caches
-    /// it. The `bool` is true on a cache hit. `build_fn` runs outside any
-    /// lock; racing builders both succeed and the first insert wins.
+    /// The cached family for `split` — `program`'s
+    /// [`ft_core::family_split`], computed once by the caller — or builds
+    /// one with `build_fn` ([`PolyPlan::family`], or `ft-verify`'s
+    /// `build_poly_verified` to layer checks onto cold builds without
+    /// re-verifying hits) and caches it. The `bool` is true on a cache
+    /// hit. A failed build caches nothing.
     pub fn get_or_build_with<E>(
         &self,
         program: &Program,
@@ -636,15 +663,13 @@ impl PolyCache {
         if let Some(family) = self.lookup_verified(split) {
             return Ok((family, true));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ft_obs::Registry::global()
-            .counter("passes.poly_cache_misses")
-            .inc();
-        ft_probe::counter("passes.poly_cache_misses", 1.0);
+        count(&self.misses, "passes.plan_cache_misses");
         let built = Arc::new(build_fn(program)?);
         let family = match self.map.write() {
             Ok(mut m) => {
                 let entries = m.entry(split.key).or_default();
+                // A racing builder may have inserted this family while we
+                // built outside the lock: first insert wins.
                 match entries.iter().find(|e| *e.bytes == *split.bytes) {
                     Some(e) => Arc::clone(&e.family),
                     None => {
@@ -656,10 +681,18 @@ impl PolyCache {
                     }
                 }
             }
+            // A poisoned map (writer panicked) degrades to uncached builds.
             Err(_) => built,
         };
         Ok((family, false))
     }
+}
+
+/// Bumps a cache counter and mirrors it to both telemetry sinks.
+fn count(local: &AtomicU64, name: &'static str) {
+    local.fetch_add(1, Ordering::Relaxed);
+    ft_obs::Registry::global().counter(name).inc();
+    ft_probe::counter(name, 1.0);
 }
 
 impl std::fmt::Debug for PolyCache {
@@ -746,39 +779,133 @@ mod tests {
         assert!(family.instance(0).is_err());
     }
 
-    #[test]
-    fn one_family_entry_serves_every_extent() {
-        let cache = PolyCache::new();
-        for l in [16usize, 24, 48, 96] {
-            let p = stacked_rnn_program(l, 2, 3, 8);
-            let split = ft_core::poly_split(&p).unwrap();
-            let (family, _) = cache
-                .get_or_build_with(&p, &split, |p| {
-                    PolyPlan::build(p).map(|o| o.expect("poly-eligible"))
-                })
-                .unwrap();
-            family.instance(l).unwrap();
+    fn outer_scan_rnn(n: usize, l: usize) -> Program {
+        let mut p = stacked_rnn_program(n, 3, l, 8);
+        for nest in &mut p.nests {
+            nest.ops[0] = ft_core::OpKind::ScanL;
         }
-        assert_eq!(cache.len(), 1, "one structure, one family");
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 3);
-        assert!(cache.cached_instances() >= 4);
+        p
+    }
+
+    fn cached(cache: &PolyCache, p: &Program) -> (Arc<PolyPlan>, bool) {
+        cache
+            .get_or_build_with(p, &family_split(p), PolyPlan::family)
+            .unwrap()
     }
 
     #[test]
-    fn different_structures_occupy_different_families() {
-        let cache = PolyCache::new();
-        for p in [
-            stacked_rnn_program(4, 2, 3, 8),
-            stacked_rnn_program(4, 2, 3, 16), // hidden width differs
-        ] {
-            let split = ft_core::poly_split(&p).unwrap();
-            cache
-                .get_or_build_with(&p, &split, |p| {
-                    PolyPlan::build(p).map(|o| o.expect("poly-eligible"))
-                })
-                .unwrap();
+    fn one_extent_family_instantiates_only_at_its_own_extent() {
+        let p = outer_scan_rnn(2, 4);
+        assert!(PolyPlan::build(&p).unwrap().is_none());
+        let family = PolyPlan::family(&p).unwrap();
+        assert!(!family.polymorphic());
+        assert!(family.info().batched.iter().all(|&b| !b));
+        // The one instance is the program as declared, laid out exactly
+        // as the concrete planner would.
+        let inst = family.instance(2).unwrap();
+        let fresh = compile(&p).unwrap();
+        assert_eq!(inst.memory.arena_len, fresh.memory.arena_len);
+        for (a, b) in inst.memory.buffers.iter().zip(&fresh.memory.buffers) {
+            assert_eq!(
+                (&a.dims, a.len, &a.placement),
+                (&b.dims, b.len, &b.placement)
+            );
         }
+        assert_eq!(family.template_fallbacks(), 0);
+        assert!(matches!(family.instance(3), Err(PassError::Invalid(_))));
+        assert_eq!(family.cached_instances(), 1);
+    }
+
+    #[test]
+    fn second_lookup_hits_under_any_name_and_shares_the_family() {
+        let cache = PolyCache::new();
+        let p = stacked_rnn_program(2, 3, 4, 8);
+        let mut renamed = p.clone();
+        renamed.name = "same_structure_other_name".into();
+        for b in &mut renamed.buffers {
+            b.name = format!("{}_renamed", b.name);
+        }
+        let (a, hit_a) = cached(&cache, &p);
+        assert!(!hit_a);
+        for q in [&p, &renamed] {
+            let (b, hit_b) = cached(&cache, q);
+            assert!(hit_b, "same structure must hit the cache");
+            assert!(Arc::ptr_eq(&a, &b));
+        }
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 2));
+    }
+
+    #[test]
+    fn one_entry_per_family_however_many_extents() {
+        // Polymorphic: four extents, one entry.
+        let cache = PolyCache::new();
+        for l in [16usize, 24, 48, 96] {
+            let (family, _) = cached(&cache, &stacked_rnn_program(l, 2, 3, 8));
+            family.instance(l).unwrap();
+        }
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 3));
+        assert!(cache.cached_instances() >= 4);
+        // A different structure is a different family.
+        cached(&cache, &stacked_rnn_program(16, 2, 3, 16));
         assert_eq!(cache.len(), 2);
+        // Not polymorphic: every shape is its own one-extent family.
+        let cache = PolyCache::new();
+        cached(&cache, &outer_scan_rnn(2, 4));
+        cached(&cache, &outer_scan_rnn(3, 4));
+        cached(&cache, &outer_scan_rnn(2, 5));
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (3, 3, 0));
+    }
+
+    #[test]
+    fn build_errors_propagate_and_cache_nothing() {
+        let cache = PolyCache::new();
+        let p = stacked_rnn_program(2, 3, 4, 8);
+        let err: std::result::Result<_, String> =
+            cache.get_or_build_with(&p, &family_split(&p), |_| {
+                Err("verification failed".to_string())
+            });
+        assert!(err.is_err());
+        assert!(cache.is_empty());
+        // A later good build still works.
+        let (_, hit) = cached(&cache, &p);
+        assert!(!hit);
+    }
+
+    /// A key collision must never hand back a family built from a
+    /// different program: plant a foreign family under this program's
+    /// exact key (with its own, foreign, structural bytes) and check the
+    /// lookup refuses it, rebuilds, and keeps both slots.
+    #[test]
+    fn key_collision_is_verified_not_trusted() {
+        let cache = PolyCache::new();
+        let p = stacked_rnn_program(2, 3, 4, 8);
+        let split = family_split(&p);
+
+        // The "other program" that happens to share p's key.
+        let foreign = stacked_rnn_program(2, 3, 5, 8);
+        let forged = PolySplit {
+            key: split.key,
+            ..family_split(&foreign)
+        };
+        let (foreign_family, _) = cache
+            .get_or_build_with(&foreign, &forged, PolyPlan::family)
+            .unwrap();
+
+        assert!(
+            cache.lookup_verified(&split).is_none(),
+            "colliding key with different structure must miss"
+        );
+        let (family, hit) = cached(&cache, &p);
+        assert!(!hit, "collision must trigger a fresh build");
+        assert!(
+            !Arc::ptr_eq(&family, &foreign_family),
+            "must not serve the foreign program's family"
+        );
+        assert_eq!(cache.len(), 2, "both structures live under one key");
+
+        // And from now on the real program hits its own verified slot.
+        let (again, hit) = cached(&cache, &p);
+        assert!(hit);
+        assert!(Arc::ptr_eq(&family, &again));
     }
 }

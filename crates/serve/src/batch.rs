@@ -1,37 +1,23 @@
-//! Batchability analysis and fused-batch construction.
+//! Fused-batch assembly: concatenate along the outer axis, split back.
 //!
-//! Dynamic batching (§ DESIGN.md §10) fuses K same-structure requests into
-//! one launch by concatenating their inputs along the outermost
-//! programmable dimension, running a single widened wavefront, and
-//! splitting the outputs back per request. The legality analysis is
-//! exactly shape polymorphism over the outer axis — a fused batch *is* the
-//! program instantiated at a larger outer extent — so it lives in
-//! [`ft_core::poly`] and is re-exported here under its serving-layer
-//! names: [`analyze`] decides fusability and classifies each buffer as
-//! **batched** (concatenate along the outer axis) or **shared** (one copy,
-//! e.g. weights).
+//! Dynamic batching (DESIGN.md §10) fuses K same-family requests into one
+//! launch by concatenating their inputs along the outermost programmable
+//! dimension, running a single widened wavefront, and splitting the outputs
+//! back per request. A fused batch *is* the program instantiated at a
+//! larger outer extent, so legality is exactly shape polymorphism over the
+//! outer axis and lives in [`ft_core::poly`]: `analyze_outer` classifies
+//! each buffer as **batched** (concatenate along the outer axis) or
+//! **shared** (one copy, e.g. weights), and the launch itself is the
+//! family's `instance(Σ extents)`.
 //!
-//! Batches are *ragged*: member requests need not share an outer extent.
-//! [`concat_outer`] fuses parts of any lengths and
-//! [`split_outer_parts`] splits the fused outputs back using the
-//! per-part extents recorded at concat time; [`split_outer`] remains the
-//! equal-chunk fast case. Programs that fail the analysis (outer
-//! scans/folds, strided outer access) are served per-request.
+//! Batches are *ragged*: member requests need not share an outer extent —
+//! an equal-extent batch is simply `parts = [B; k]`. [`concat_outer`] fuses
+//! parts of any lengths and [`split_outer_parts`] splits the fused outputs
+//! back using the per-part extents recorded at concat time. Programs that
+//! fail the analysis (outer scans/folds, strided outer access) have no
+//! batched buffer and are served per-request.
 
-use ft_core::{CoreError, FractalTensor, Program};
-
-pub use ft_core::poly::analyze_outer as analyze;
-pub use ft_core::poly::OuterInfo as BatchInfo;
-
-/// The fused program for total outer extent `B * k` (`k` equal-extent
-/// requests): a [`ft_core::poly::with_outer_extent`] re-extent with a
-/// batch-flavored debug name. For ragged batches, re-extent to the sum of
-/// the parts' extents instead.
-pub fn batched_program(program: &Program, info: &BatchInfo, k: usize) -> Program {
-    let mut fused = ft_core::poly::with_outer_extent(program, info, info.batch_extent * k);
-    fused.name = format!("{}[x{k}]", program.name);
-    fused
-}
+use ft_core::{CoreError, FractalTensor};
 
 /// Concatenates per-request FractalTensors along the outermost list.
 /// Parts may have different outer lengths (ragged batching); record
@@ -85,11 +71,6 @@ pub fn split_outer_parts(
         )));
     }
     fn ranges<T: Clone>(v: &[T], parts: &[usize]) -> Vec<Vec<T>> {
-        // Equal chunks — the identical-extent fast case.
-        let chunk = parts[0];
-        if parts.iter().all(|&p| p == chunk) {
-            return v.chunks(chunk).map(<[T]>::to_vec).collect();
-        }
         let mut out = Vec::with_capacity(parts.len());
         let mut off = 0usize;
         for &p in parts {
@@ -110,66 +91,12 @@ pub fn split_outer_parts(
     }
 }
 
-/// Splits a fused output back into `k` equal per-request chunks along the
-/// outermost list — the identical-extent fast case of
-/// [`split_outer_parts`].
-pub fn split_outer(ft: &FractalTensor, k: usize) -> ft_core::Result<Vec<FractalTensor>> {
-    let n = ft.len();
-    if k == 0 || !n.is_multiple_of(k) {
-        return Err(CoreError::Adt(format!(
-            "cannot split outer length {n} into {k} chunks"
-        )));
-    }
-    split_outer_parts(ft, &vec![n / k; k])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ft_core::builders::stacked_rnn_program;
+    use ft_core::poly::analyze_outer;
     use ft_tensor::Tensor;
-
-    #[test]
-    fn stacked_rnn_is_batchable() {
-        let p = stacked_rnn_program(2, 3, 4, 8);
-        let info = analyze(&p).expect("stacked RNN batches along the sequence dim");
-        assert_eq!(info.batch_extent, 2);
-        // xss (input sequences) and ysss (outputs) are batched; the weight
-        // stack ws is shared.
-        let by_name: Vec<(&str, bool)> = p
-            .buffers
-            .iter()
-            .zip(&info.batched)
-            .map(|(d, &b)| (d.name.as_str(), b))
-            .collect();
-        for (name, batched) in by_name {
-            if name.contains("ws") {
-                assert!(!batched, "weights must be shared, got batched {name}");
-            } else {
-                assert!(batched, "{name} should be batched");
-            }
-        }
-    }
-
-    #[test]
-    fn lstm_is_batchable() {
-        let p = ft_workloads::lstm::program(ft_workloads::lstm::LstmShape {
-            batch: 2,
-            hidden: 8,
-            depth: 2,
-            seq: 3,
-        });
-        assert!(analyze(&p).is_some());
-    }
-
-    #[test]
-    fn outer_scan_is_not_batchable() {
-        let mut p = stacked_rnn_program(2, 3, 4, 8);
-        for nest in &mut p.nests {
-            nest.ops[0] = ft_core::OpKind::ScanL;
-        }
-        assert!(analyze(&p).is_none());
-    }
 
     #[test]
     fn mismatched_outer_extents_are_not_batchable() {
@@ -177,31 +104,33 @@ mod tests {
         if let Some(n) = p.nests.first_mut() {
             n.extents[0] = 3;
         }
-        assert!(analyze(&p).is_none());
+        assert!(analyze_outer(&p).is_none());
     }
 
+    /// A fused launch of three extent-2 requests is the family's
+    /// instance at extent 6: batched outer dims scale, shared dims do not.
     #[test]
-    fn batched_program_scales_only_batched_dims() {
+    fn fused_instance_scales_only_batched_dims() {
         let p = stacked_rnn_program(2, 3, 4, 8);
-        let info = analyze(&p).unwrap();
-        let fused = batched_program(&p, &info, 3);
-        assert!(fused.validate().is_ok());
-        for nest in &fused.nests {
-            assert_eq!(nest.extents[0], 6);
+        let family = ft_passes::PolyPlan::family(&p).unwrap();
+        let fused = family.instance(3 * 2).unwrap();
+        for block in &fused.etdg.blocks {
+            assert_eq!(block.extents[0], 6);
         }
-        for (decl, (orig, &b)) in fused
+        for (layout, (decl, &batched)) in fused
+            .memory
             .buffers
             .iter()
-            .zip(p.buffers.iter().zip(&info.batched))
+            .zip(p.buffers.iter().zip(&family.info().batched))
         {
-            if b {
-                assert_eq!(decl.dims[0], orig.dims[0] * 3);
+            if batched {
+                assert_eq!(layout.dims[0], decl.dims[0] * 3);
+                assert_eq!(layout.dims[1..], decl.dims[1..]);
             } else {
-                assert_eq!(decl.dims, orig.dims);
+                assert_eq!(layout.dims, decl.dims);
             }
         }
-        // The fused program must itself still compile.
-        assert!(ft_passes::compile(&fused).is_ok());
+        assert!(ft_verify::verify(&fused).is_ok());
     }
 
     fn seq(base: f32, outer: usize) -> FractalTensor {
@@ -225,14 +154,12 @@ mod tests {
         let b = seq(10.0, 2);
         let cat = concat_outer(&[&a, &b]).unwrap();
         assert_eq!(cat.prog_dims(), vec![4, 2]);
-        let back = split_outer(&cat, 2).unwrap();
+        let back = split_outer_parts(&cat, &[2, 2]).unwrap();
         assert_eq!(back, vec![a, b]);
-        assert!(split_outer(&cat, 3).is_err());
+        assert!(split_outer_parts(&cat, &[2, 1]).is_err());
+        assert!(split_outer_parts(&cat, &[4, 0]).is_err());
     }
 
-    /// Regression: the old `split_outer` hard-errored unless the fused
-    /// length divided evenly — unequal (ragged) members could not be split
-    /// back at all.
     #[test]
     fn ragged_concat_then_split_round_trips() {
         let a = seq(0.0, 1);
@@ -240,8 +167,6 @@ mod tests {
         let c = seq(100.0, 2);
         let cat = concat_outer(&[&a, &b, &c]).unwrap();
         assert_eq!(cat.len(), 6);
-        // The equal-chunk API cannot express this split.
-        assert!(split_outer(&cat, 4).is_err());
         let back = split_outer_parts(&cat, &[1, 3, 2]).unwrap();
         assert_eq!(back, vec![a, b, c]);
         // Wrong totals and zero-length parts are rejected.

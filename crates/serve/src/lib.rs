@@ -9,28 +9,27 @@
 //!
 //! * one persistent [`ft_pool::WorkerPool`] shared by every request (no
 //!   per-run thread creation),
-//! * a [`ft_passes::PlanCache`] keyed by the name-insensitive structural
-//!   signature, so repeated submissions of a workload skip compilation and
-//!   verification entirely,
+//! * one plan cache ([`ft_passes::PolyCache`]) keyed by the program's
+//!   name-insensitive *family* identity ([`ft_core::family_split`]): the
+//!   structure with the polymorphic outer extent masked out, so one cached
+//!   [`ft_passes::PolyPlan`] serves every outer extent and repeated
+//!   submissions skip compilation and verification entirely. A program
+//!   without a polymorphic outer axis is a family of one extent,
 //! * a bounded admission queue with backpressure ([`ServeError::QueueFull`]
 //!   from [`Runtime::submit`], blocking from [`Runtime::submit_wait`]) and
 //!   per-request deadlines ([`ServeError::Deadline`]),
-//! * a scheduler thread that drains the queue, groups requests resolving to
-//!   the same plan, and — when the program's outermost dimension is a pure
-//!   `map` (see [`batch`]) — executes the group as **one fused launch**:
-//!   inputs concatenated along the outer dimension, a single widened
-//!   wavefront on the pool, outputs split back per request. Shape
-//!   misalignment or a fused-execution failure falls back to per-request
-//!   execution; batching is an optimization, never a correctness risk,
-//! * shape-polymorphic serving ([`ServeConfig::poly`]): requests whose
-//!   program has a legal polymorphic outer axis are keyed by their
-//!   *structural* family ([`ft_core::StructKey`]) instead of their exact
-//!   shape, so one cached [`ft_passes::PolyPlan`] serves every outer
-//!   extent. The scheduler length-buckets queued family members
-//!   (factor-of-4 extent classes) and fuses them **ragged** — inputs of
-//!   different lengths concatenated with per-part extents recorded at
-//!   concat time, one launch at the summed extent, outputs split back
-//!   offset-aware ([`batch::split_outer_parts`]).
+//! * a scheduler thread that drains the queue, groups requests of one
+//!   family and length bucket (factor-of-4 extent classes), and — when the
+//!   family has a batched buffer, i.e. the program's outermost dimension is
+//!   a pure `map` (see [`batch`]) — executes the group as **one fused
+//!   launch**, always ragged: inputs of any lengths concatenated along the
+//!   outer dimension with per-part extents recorded at concat time, the
+//!   family instantiated at the summed extent and run as a single widened
+//!   wavefront on the pool, outputs split back offset-aware
+//!   ([`batch::split_outer_parts`]). Equal-extent members are the case
+//!   where all parts happen to be equal. Shape misalignment or a
+//!   fused-execution failure falls back to per-request execution; batching
+//!   is an optimization, never a correctness risk.
 //!
 //! Every failure is a typed [`ServeError`] delivered through the request's
 //! [`Ticket`]; an expired or failed request never poisons the pool or the
@@ -44,7 +43,6 @@
 pub mod batch;
 pub mod session;
 
-pub use batch::BatchInfo;
 pub use session::{SessionError, SessionSpec, StateBinding, StateOp};
 
 use session::SessionEntry;
@@ -60,17 +58,14 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use ft_backend::{ExecError, Executor};
 
 pub use ft_backend::FaultPlan;
-use ft_core::{
-    poly_split, program_signature, BufferId, BufferKind, FractalTensor, Program, ProgramSig,
-    StructKey,
-};
+use ft_core::{family_split, BufferId, BufferKind, FractalTensor, PolySplit, Program, StructKey};
 use ft_obs::{
     CompletionRecord, CompletionStatus, Counter, FuseDecision, Gauge, Histogram, Registry,
     TraceContext, TraceLog,
 };
-use ft_passes::{CompiledProgram, PlanCache, PolyCache, PolyPlan};
+use ft_passes::{PolyCache, PolyPlan};
 use ft_pool::WorkerPool;
-use ft_verify::{build_poly_verified, compile_verified};
+use ft_verify::build_poly_verified;
 
 /// Errors a request can come back with.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,8 +174,8 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Whether to fuse same-plan requests at all.
     pub batching: bool,
-    /// Run schedule-legality verification on cold compiles
-    /// ([`ft_verify::compile_verified`]); cache hits never re-verify.
+    /// Run schedule-legality verification on cold family builds
+    /// ([`ft_verify::build_poly_verified`]); cache hits never re-verify.
     pub verify: bool,
     /// Override the executor's runtime guard (`None` = inherit `FT_GUARD`).
     pub guard: Option<bool>,
@@ -209,13 +204,6 @@ pub struct ServeConfig {
     /// runtime then replaces the poisoned pool and keeps serving.
     /// `None` (the default) keeps the zero-overhead unsupervised pool.
     pub launch_timeout: Option<Duration>,
-    /// Shape-polymorphic plan families: serve requests whose program has a
-    /// legal polymorphic outer axis from one cached
-    /// [`ft_passes::PolyPlan`] per *structure*, instantiated at each
-    /// request's extent at dispatch, and fuse queued family members into
-    /// ragged batches (length-bucketed, concat-with-offsets). Off, every
-    /// distinct shape compiles (and verifies) its own plan.
-    pub poly: bool,
 }
 
 impl Default for ServeConfig {
@@ -233,7 +221,6 @@ impl Default for ServeConfig {
             quarantine_cooldown: Duration::from_millis(500),
             shedding: true,
             launch_timeout: None,
-            poly: true,
         }
     }
 }
@@ -324,30 +311,23 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// Shape-polymorphism identity minted at admission: the shape-insensitive
-/// structural family key plus this request's concrete outer extent (the
-/// shape tuple resolved at launch). `bucket` is the factor-of-4 length
-/// class of the extent — the scheduler fuses queued family members of the
-/// same bucket into one ragged launch, so nearby lengths share a
-/// wavefront while a 1-row and a 4096-row request never do. Concat pads
-/// nothing (the launch runs at the *summed* extent), so bucketing costs
-/// no wasted compute; its only job is a latency guard — within a bucket a
-/// member's batch-mates are at most ~4x its own width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PolyMeta {
-    key: StructKey,
-    extent: usize,
-    bucket: u32,
-}
-
 /// The factor-of-4 length class used for ragged batch bucketing: extents
-/// {1,2} share class 0, {3..8} class 1, {9..32} class 2, and so on.
+/// {1,2} share class 0, {3..8} class 1, {9..32} class 2, and so on. The
+/// scheduler fuses queued family members of the same bucket into one
+/// ragged launch, so nearby lengths share a wavefront while a 1-row and a
+/// 4096-row request never do. Concat pads nothing (the launch runs at the
+/// *summed* extent), so bucketing costs no wasted compute; its only job is
+/// a latency guard — within a bucket a member's batch-mates are at most
+/// ~4x its own width.
 fn extent_bucket(extent: usize) -> u32 {
     extent.next_power_of_two().trailing_zeros() / 2
 }
 
 struct Pending {
-    sig: ProgramSig,
+    /// Family identity (key, structural bytes, this request's outer
+    /// extent) computed once at admission. Dispatch looks the plan up by
+    /// it and never re-serialises the program.
+    family: PolySplit,
     program: Arc<Program>,
     inputs: HashMap<BufferId, FractalTensor>,
     submitted: Instant,
@@ -358,42 +338,33 @@ struct Pending {
     /// Time spent in the admission queue, set when the scheduler pops the
     /// request into a group.
     queue_wait_us: f64,
-    /// Shape-polymorphism identity, `None` when the program has no legal
-    /// polymorphic outer axis (or [`ServeConfig::poly`] is off).
-    poly: Option<PolyMeta>,
     /// Set when this request is a stateful-session decode step: on
     /// fulfillment the session's pinned state advances in place from the
     /// step's outputs ([`settle_session_step`]).
     session_step: Option<u64>,
 }
 
-/// What the scheduler coalesces on: shape-polymorphic requests group by
-/// structural family and length bucket (ragged fusion), everything else by
-/// exact program signature.
+/// What the scheduler coalesces on, and what the shed estimator prices
+/// by: plan family and length bucket. The key is a hash — statistics may
+/// trust it, a launch may not ([`same_launch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GroupKey {
-    Sig(ProgramSig),
-    Poly { key: StructKey, bucket: u32 },
+struct GroupKey {
+    key: StructKey,
+    bucket: u32,
 }
 
 fn group_key(p: &Pending) -> GroupKey {
-    match p.poly {
-        Some(m) => GroupKey::Poly {
-            key: m.key,
-            bucket: m.bucket,
-        },
-        None => GroupKey::Sig(p.sig),
+    GroupKey {
+        key: p.family.key,
+        bucket: extent_bucket(p.family.outer_extent),
     }
 }
 
-/// The key a request's quarantine breaker lives under: poly requests share
-/// one breaker per structural family (they share the plan that would be
-/// failing), everything else breaks per exact signature.
-fn quarantine_sig(p: &Pending) -> ProgramSig {
-    match p.poly {
-        Some(m) => ProgramSig(m.key.0),
-        None => p.sig,
-    }
+/// May `a` and `b` ride one launch? Same group *and* byte-equal family
+/// identity: every member runs under the leader's plan, so a colliding
+/// key must never put a different program in the group.
+fn same_launch(a: &Pending, b: &Pending) -> bool {
+    group_key(a) == group_key(b) && a.family.bytes == b.family.bytes
 }
 
 /// Pre-registered handles into the runtime's [`Registry`]: every hot-path
@@ -551,15 +522,12 @@ pub struct ServeStats {
     pub max_batch: usize,
     /// Deepest the admission queue has been.
     pub peak_queue_depth: usize,
-    /// Plan-cache hits (requests that skipped compile + verify), summed
-    /// over the exact-shape cache and the shape-polymorphic family cache.
+    /// Plan-cache hits (dispatches that skipped compile + verify).
     pub cache_hits: u64,
-    /// Plan-cache misses (cold compiles, including fused variants and
-    /// family builds).
+    /// Plan-cache misses (cold family builds).
     pub cache_misses: u64,
-    /// Distinct plans cached: exact-shape entries plus polymorphic
-    /// families. One family counts once no matter how many extents it has
-    /// served.
+    /// Plan families cached. One family counts once no matter how many
+    /// extents it has served.
     pub cached_plans: usize,
     /// Median end-to-end latency of successful requests, microseconds.
     /// Computed over **every** completed request (log-bucket histogram,
@@ -650,14 +618,9 @@ struct Inner {
     not_empty: Condvar,
     space: Condvar,
     shutdown: AtomicBool,
-    cache: PlanCache,
-    /// Shape-polymorphic plan families, keyed by structural family
-    /// ([`StructKey`]); one verified entry serves every outer extent.
-    poly_cache: PolyCache,
-    /// Memoized admission-time poly analysis, keyed by exact signature
-    /// (same sig ⇒ same split outcome).
-    poly_meta: Mutex<HashMap<ProgramSig, Option<PolyMeta>>>,
-    batch_info: Mutex<HashMap<ProgramSig, Option<Arc<BatchInfo>>>>,
+    /// The plan cache: one verified family per structure serves every
+    /// outer extent.
+    cache: PolyCache,
     /// Current pool + executor; replaced under the write lock when a
     /// stall poisons the pool.
     engine: RwLock<Engine>,
@@ -668,8 +631,8 @@ struct Inner {
     /// request id. The supervisor drains this on a scheduler panic so an
     /// admitted ticket can never hang.
     inflight: Mutex<HashMap<u64, Inflight>>,
-    /// Per-plan circuit breakers ([`ServeError::Quarantined`]).
-    quarantine: Mutex<HashMap<ProgramSig, Breaker>>,
+    /// Per-family circuit breakers ([`ServeError::Quarantined`]).
+    quarantine: Mutex<HashMap<StructKey, Breaker>>,
     /// Open stateful sessions, keyed by the id minted at
     /// [`Runtime::open_session`].
     sessions: Mutex<HashMap<u64, SessionEntry>>,
@@ -758,10 +721,7 @@ impl Runtime {
             not_empty: Condvar::new(),
             space: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            cache: PlanCache::new(),
-            poly_cache: PolyCache::new(),
-            poly_meta: Mutex::new(HashMap::new()),
-            batch_info: Mutex::new(HashMap::new()),
+            cache: PolyCache::new(),
             engine: RwLock::new(Engine { pool, exec }),
             pool_threads: threads,
             inflight: Mutex::new(HashMap::new()),
@@ -859,13 +819,14 @@ impl Runtime {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
-        let sig = program_signature(&request.program);
+        // The one serialisation of the program a request ever pays.
+        let family = family_split(&request.program);
         // The identity tuple minted at admission and carried through the
         // whole pipeline; `batch_id` is attached at dispatch.
         let ctx = TraceContext {
             request_id: ft_obs::next_request_id(),
             session_id: request.session,
-            plan_sig: sig.to_string(),
+            plan_sig: family.key.to_string(),
             batch_id: None,
         };
         let request_id = ctx.request_id;
@@ -875,9 +836,8 @@ impl Runtime {
             .or(self.inner.cfg.default_deadline)
             .map(|d| submitted + d);
         let state = Arc::new(TicketState::default());
-        let poly = poly_meta_for(&self.inner, sig, &request.program);
         let pending = Pending {
-            sig,
+            family,
             program: request.program,
             inputs: request.inputs,
             submitted,
@@ -885,7 +845,6 @@ impl Runtime {
             ticket: Arc::clone(&state),
             ctx,
             queue_wait_us: 0.0,
-            poly,
             session_step,
         };
         let depth = {
@@ -979,7 +938,7 @@ impl Runtime {
     /// weights); the runtime injects the session's pinned state handles —
     /// cheap clones sharing storage, never data copies — and, when the
     /// step completes, advances the state **in place**
-    /// ([`session::SessionEntry::advance`]). Steps are strictly sequential
+    /// (`SessionEntry::advance`). Steps are strictly sequential
     /// per session ([`SessionError::Busy`]); steps from *different*
     /// sessions queued together fuse into one wavefront launch via the
     /// ordinary batching path — that fusion is the continuous-batching
@@ -1116,9 +1075,9 @@ impl Runtime {
             pool_workers,
             max_batch: self.inner.max_batch.load(Ordering::Relaxed) as usize,
             peak_queue_depth: self.inner.peak_queue_depth.load(Ordering::Relaxed) as usize,
-            cache_hits: self.inner.cache.hits() + self.inner.poly_cache.hits(),
-            cache_misses: self.inner.cache.misses() + self.inner.poly_cache.misses(),
-            cached_plans: self.inner.cache.len() + self.inner.poly_cache.len(),
+            cache_hits: self.inner.cache.hits(),
+            cache_misses: self.inner.cache.misses(),
+            cached_plans: self.inner.cache.len(),
             latency_p50_us: lat.quantile(0.50),
             latency_p95_us: lat.quantile(0.95),
             latency_p99_us: lat.quantile(0.99),
@@ -1202,7 +1161,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("threads", &self.threads())
             .field("cache", &self.inner.cache)
-            .field("poly_cache", &self.inner.poly_cache)
             .finish()
     }
 }
@@ -1408,17 +1366,15 @@ fn scheduler_loop(inner: &Arc<Inner>) {
             }
             let mut group = Vec::new();
             if let Some(first) = queue.pop_front() {
-                let key = group_key(&first);
                 group.push(first);
                 if inner.cfg.batching {
-                    // Pull every queued same-group request (up to
-                    // max_batch) regardless of position: batching is keyed
-                    // on the plan — exact signature, or structural family
-                    // + length bucket for shape-polymorphic requests — not
+                    // Pull every queued request of the leader's family and
+                    // length bucket (up to max_batch) regardless of
+                    // position: batching is keyed on the plan, not
                     // adjacency.
                     let mut i = 0;
                     while i < queue.len() && group.len() < inner.cfg.max_batch {
-                        if group_key(&queue[i]) == key {
+                        if same_launch(&queue[i], &group[0]) {
                             if let Some(p) = queue.remove(i) {
                                 group.push(p);
                             }
@@ -1479,17 +1435,17 @@ fn split_expired(group: Vec<Pending>) -> (Vec<Pending>, Vec<Pending>) {
         .partition(|p| p.deadline.is_some_and(|d| d <= now))
 }
 
-/// Records one execution (or compile) outcome of `sig` against its
+/// Records one execution (or compile) outcome of family `key` against its
 /// circuit breaker. Successes close the breaker; `threshold` consecutive
 /// failures open it, after which [`process_group`] fails requests fast
 /// until the cooldown elapses and a half-open probe succeeds.
-fn note_plan_outcome(inner: &Inner, sig: ProgramSig, ok: bool) {
+fn note_plan_outcome(inner: &Inner, key: StructKey, ok: bool) {
     let threshold = inner.cfg.quarantine_threshold;
     if threshold == 0 {
         return;
     }
     let mut quarantine = inner.quarantine.lock();
-    let b = quarantine.entry(sig).or_default();
+    let b = quarantine.entry(key).or_default();
     if ok {
         if !matches!(b.state, BreakerState::Closed) {
             inner.metrics.quarantined_plans.dec();
@@ -1567,13 +1523,13 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
     // Quarantine gate: an open breaker fails the whole group fast — no
     // compile, no pool time. Once the cooldown elapses, exactly one
     // group proceeds as the half-open probe; its outcome decides
-    // between closing and re-opening. Poly groups share one breaker per
-    // structural family (they share the plan).
-    let sig = quarantine_sig(&live[0]);
+    // between closing and re-opening. A family's extents share one
+    // breaker (they share the plan that would be failing).
+    let key = live[0].family.key;
     if inner.cfg.quarantine_threshold > 0 {
         let now = Instant::now();
         let mut quarantine = inner.quarantine.lock();
-        if let Some(b) = quarantine.get_mut(&sig) {
+        if let Some(b) = quarantine.get_mut(&key) {
             match b.state {
                 BreakerState::Open { until } if now < until => {
                     drop(quarantine);
@@ -1596,22 +1552,16 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
 
     // Plan acquisition: a cache hit skips compile AND verify. The time is
     // billed to every request in the group's phase breakdown (they share
-    // one acquisition). Poly-eligible groups acquire the structural
-    // *family* — one cached entry serves every outer extent — everything
-    // else the exact-shape compiled plan.
+    // one acquisition): one cached family serves every outer extent.
     let setup_start = Instant::now();
-    let acquired = if live[0].poly.is_some() {
-        acquire_family(inner, &live[0].program).map(|(f, hit)| (Acquired::Family(f), hit))
-    } else {
-        acquire_plan(inner, &live[0].program).map(|(p, hit)| (Acquired::Plan(p), hit))
-    };
+    let acquired = acquire_family(inner, &live[0]);
     let setup_us = setup_start.elapsed().as_secs_f64() * 1e6;
-    let (plan, hit) = match acquired {
+    let (family, hit) = match acquired {
         Ok(v) => v,
         Err(e) => {
             // A plan that won't compile (or verify) counts one failure
             // per dispatch attempt toward quarantine.
-            note_plan_outcome(inner, sig, false);
+            note_plan_outcome(inner, key, false);
             for p in live {
                 fulfill(
                     inner,
@@ -1640,7 +1590,8 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
         ..Phases::default()
     };
 
-    // A cold compile can be slow; re-check deadlines before launching.
+    // A cold compile can be slow; re-check deadlines before the batch
+    // geometry is fixed — an expired request must not widen the launch.
     let (expired, live) = split_expired(live);
     for p in expired {
         fulfill(inner, p, Err(ServeError::Deadline), phases.clone());
@@ -1649,101 +1600,76 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
         return;
     }
 
-    // Fusion attempt: mint a batch id up front so every span and record of
-    // this launch shares it, success or fallback.
+    // Fusion attempt. Only a family with a batched buffer has an outer
+    // axis to concatenate along; a one-extent family never attempts it.
+    // The batch id is minted up front so every span and record of this
+    // launch shares it, success or fallback.
     let mut fallback_reason: Option<String> = None;
-    let mut live = live;
-    if live.len() > 1 {
-        // Ragged poly groups fuse through the family (members may differ
-        // in outer extent); fixed-shape groups through the re-extent
-        // batched program.
-        let fuse = match &plan {
-            Acquired::Family(family) => Some(FusePath::Poly(Arc::clone(family))),
-            Acquired::Plan(_) => batch_info_for(inner, &live[0]).map(FusePath::Fixed),
-        };
-        if let Some(fuse) = fuse {
-            // Last deadline check before the batch geometry is fixed: a
-            // request that expired while the group was being set up must
-            // not widen the wavefront launch.
-            let (expired, still_live) = split_expired(live);
-            live = still_live;
-            for p in expired {
-                fulfill(inner, p, Err(ServeError::Deadline), phases.clone());
-            }
-            if live.is_empty() {
+    if live.len() > 1 && family.info().batched.contains(&true) {
+        let batch_id = inner.next_batch_id.fetch_add(1, Ordering::Relaxed);
+        match run_fused(inner, &exec, &live, &family, batch_id) {
+            Ok(fused) => {
+                let k = live.len();
+                inner.metrics.batches.inc();
+                inner.metrics.batched_requests.add(k as u64);
+                inner.metrics.batch_size.record(k as f64);
+                inner.max_batch.fetch_max(k as u64, Ordering::Relaxed);
+                ft_probe::counter("serve.batches", 1.0);
+                note_plan_outcome(inner, key, true);
+                for (mut p, out) in live.into_iter().zip(fused.outputs) {
+                    p.ctx.batch_id = Some(batch_id);
+                    fulfill(
+                        inner,
+                        p,
+                        Ok(out),
+                        Phases {
+                            fuse: FuseDecision::Fused { size: k as u32 },
+                            exec_us: fused.exec_us,
+                            split_us: fused.split_us,
+                            ..phases.clone()
+                        },
+                    );
+                }
                 return;
             }
-            if live.len() > 1 {
-                let batch_id = inner.next_batch_id.fetch_add(1, Ordering::Relaxed);
-                let attempt = match &fuse {
-                    FusePath::Poly(family) => run_fused_poly(inner, &exec, &live, family, batch_id),
-                    FusePath::Fixed(info) => run_fused(inner, &exec, &live, info, batch_id),
+            Err(fail) => {
+                // Fused execution is best-effort; serve individually.
+                inner.metrics.batch_fallbacks.inc();
+                ft_probe::counter("serve.batch_fallbacks", 1.0);
+                let reason = match fail {
+                    FusedFailure::Precondition { reason, ragged } => {
+                        if ragged {
+                            // Length-mix fallback (mismatched
+                            // outer extent), distinct from genuine
+                            // shape errors.
+                            inner.metrics.batch_ragged_fallback.inc();
+                            ft_probe::counter("serve.batch_ragged_fallback", 1.0);
+                        }
+                        reason
+                    }
+                    FusedFailure::Exec(e) => {
+                        // Batch fault isolation: the fused launch
+                        // itself failed, so every member is re-run
+                        // solo below and only the genuinely faulty
+                        // request errors. Meter the isolation cost.
+                        inner.metrics.batch_bisections.inc();
+                        inner.metrics.retries.add(live.len() as u64);
+                        ft_probe::counter("serve.batch_bisections", 1.0);
+                        ft_probe::counter("serve.retries", live.len() as f64);
+                        if matches!(e, ExecError::Stalled { .. }) {
+                            // The stall poisoned the pool; the solo
+                            // retries need a healthy one.
+                            recover_from_stall(inner, &mut exec);
+                        }
+                        format!("fused execution: {e}")
+                    }
                 };
-                match attempt {
-                    Ok(fused) => {
-                        let k = live.len();
-                        inner.metrics.batches.inc();
-                        inner.metrics.batched_requests.add(k as u64);
-                        inner.metrics.batch_size.record(k as f64);
-                        inner.max_batch.fetch_max(k as u64, Ordering::Relaxed);
-                        ft_probe::counter("serve.batches", 1.0);
-                        note_plan_outcome(inner, sig, true);
-                        for (mut p, out) in live.into_iter().zip(fused.outputs) {
-                            p.ctx.batch_id = Some(batch_id);
-                            fulfill(
-                                inner,
-                                p,
-                                Ok(out),
-                                Phases {
-                                    fuse: FuseDecision::Fused { size: k as u32 },
-                                    exec_us: fused.exec_us,
-                                    split_us: fused.split_us,
-                                    ..phases.clone()
-                                },
-                            );
-                        }
-                        return;
-                    }
-                    Err(fail) => {
-                        // Fused execution is best-effort; serve individually.
-                        inner.metrics.batch_fallbacks.inc();
-                        ft_probe::counter("serve.batch_fallbacks", 1.0);
-                        let reason = match fail {
-                            FusedFailure::Precondition { reason, ragged } => {
-                                if ragged {
-                                    // Length-mix fallback (mismatched
-                                    // outer extent), distinct from genuine
-                                    // shape errors.
-                                    inner.metrics.batch_ragged_fallback.inc();
-                                    ft_probe::counter("serve.batch_ragged_fallback", 1.0);
-                                }
-                                reason
-                            }
-                            FusedFailure::Exec(e) => {
-                                // Batch fault isolation: the fused launch
-                                // itself failed, so every member is re-run
-                                // solo below and only the genuinely faulty
-                                // request errors. Meter the isolation cost.
-                                inner.metrics.batch_bisections.inc();
-                                inner.metrics.retries.add(live.len() as u64);
-                                ft_probe::counter("serve.batch_bisections", 1.0);
-                                ft_probe::counter("serve.retries", live.len() as f64);
-                                if matches!(e, ExecError::Stalled { .. }) {
-                                    // The stall poisoned the pool; the solo
-                                    // retries need a healthy one.
-                                    recover_from_stall(inner, &mut exec);
-                                }
-                                format!("fused execution: {e}")
-                            }
-                        };
-                        let mut span = ft_probe::span("serve", "batch_fallback");
-                        if span.is_recording() {
-                            span.field("reason", reason.as_str());
-                            span.field("batch_id", batch_id);
-                        }
-                        fallback_reason = Some(reason);
-                    }
+                let mut span = ft_probe::span("serve", "batch_fallback");
+                if span.is_recording() {
+                    span.field("reason", reason.as_str());
+                    span.field("batch_id", batch_id);
                 }
+                fallback_reason = Some(reason);
             }
         }
     }
@@ -1756,19 +1682,9 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
             continue;
         }
         let exec_start = Instant::now();
-        let result = match (&plan, p.poly) {
-            (Acquired::Plan(compiled), _) => {
-                exec.run(compiled, &p.inputs).map_err(ServeError::Exec)
-            }
-            (Acquired::Family(family), Some(m)) => exec
-                .run_poly(family, m.extent, &p.inputs, None)
-                .map_err(ServeError::Exec),
-            // Unreachable by construction — a poly group only ever holds
-            // poly requests — but typed rather than panicking.
-            (Acquired::Family(_), None) => Err(ServeError::Input(
-                "request without shape metadata in a polymorphic group".into(),
-            )),
-        };
+        let result = exec
+            .run_poly(&family, p.family.outer_extent, &p.inputs, None)
+            .map_err(ServeError::Exec);
         let exec_us = exec_start.elapsed().as_secs_f64() * 1e6;
         inner.metrics.exec_us.record(exec_us);
         note_group_exec(inner, group_key(&p), exec_us);
@@ -1777,10 +1693,10 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
         // shedding estimator overestimates drain rates.
         inner.metrics.batch_size.record(1.0);
         match &result {
-            Ok(_) => note_plan_outcome(inner, sig, true),
+            Ok(_) => note_plan_outcome(inner, key, true),
             Err(ServeError::Exec(e)) => {
                 if indicts_plan(e) {
-                    note_plan_outcome(inner, sig, false);
+                    note_plan_outcome(inner, key, false);
                 }
                 if matches!(e, ExecError::Stalled { .. }) {
                     recover_from_stall(inner, &mut exec);
@@ -1804,89 +1720,22 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
     }
 }
 
-/// The plan a group was acquired under: a fixed-shape compiled program,
-/// or a shape-polymorphic family instantiated per extent at dispatch.
-enum Acquired {
-    Plan(Arc<CompiledProgram>),
-    Family(Arc<PolyPlan>),
-}
-
-/// How a multi-request group fuses: through the family (ragged, members
-/// may differ in outer extent) or the fixed-shape re-extent path.
-enum FusePath {
-    Poly(Arc<PolyPlan>),
-    Fixed(Arc<BatchInfo>),
-}
-
-fn acquire_plan(
-    inner: &Inner,
-    program: &Program,
-) -> Result<(Arc<CompiledProgram>, bool), ServeError> {
+/// The plan family for `leader`'s group, from the cache — looked up by the
+/// identity admission computed, byte-verified — or built (and, per config,
+/// verified) cold. The `bool` is true on a cache hit.
+fn acquire_family(inner: &Inner, leader: &Pending) -> Result<(Arc<PolyPlan>, bool), ServeError> {
     let verify = inner.cfg.verify;
-    inner.cache.get_or_compile_with(program, |p| {
-        if verify {
-            compile_verified(p)
-                .map(|(compiled, _report)| compiled)
-                .map_err(|e| ServeError::Compile(e.to_string()))
-        } else {
-            ft_passes::compile(p).map_err(|e| ServeError::Compile(e.to_string()))
-        }
-    })
-}
-
-/// The shape-polymorphic family for `program`'s structure, from the
-/// family cache or built (and, per config, verified for extent
-/// invariance) cold. The `bool` is true on a cache hit.
-fn acquire_family(inner: &Inner, program: &Program) -> Result<(Arc<PolyPlan>, bool), ServeError> {
-    // Admission already proved the split exists; recomputing it here is
-    // one byte-serialization, far cheaper than a compile.
-    let split = poly_split(program).ok_or_else(|| {
-        ServeError::Compile("program lost its polymorphic outer axis".to_string())
-    })?;
-    let verify = inner.cfg.verify;
-    inner.poly_cache.get_or_build_with(program, &split, |p| {
-        if verify {
-            build_poly_verified(p)
-                .map(|(family, _report)| family)
-                .map_err(|e| ServeError::Compile(e.to_string()))
-        } else {
-            match PolyPlan::build(p) {
-                Ok(Some(family)) => Ok(family),
-                Ok(None) => Err(ServeError::Compile(
-                    "program lost its polymorphic outer axis".to_string(),
-                )),
-                Err(e) => Err(ServeError::Compile(e.to_string())),
+    inner
+        .cache
+        .get_or_build_with(&leader.program, &leader.family, |p| {
+            if verify {
+                build_poly_verified(p)
+                    .map(|(family, _report)| family)
+                    .map_err(|e| ServeError::Compile(e.to_string()))
+            } else {
+                PolyPlan::family(p).map_err(|e| ServeError::Compile(e.to_string()))
             }
-        }
-    })
-}
-
-/// The request's shape-polymorphism identity, memoized by exact signature
-/// (same sig ⇒ same split outcome). `None` when [`ServeConfig::poly`] is
-/// off or the program has no legal polymorphic outer axis.
-fn poly_meta_for(inner: &Inner, sig: ProgramSig, program: &Program) -> Option<PolyMeta> {
-    if !inner.cfg.poly {
-        return None;
-    }
-    if let Some(meta) = inner.poly_meta.lock().get(&sig) {
-        return *meta;
-    }
-    let meta = poly_split(program).map(|s| PolyMeta {
-        key: s.key,
-        extent: s.outer_extent,
-        bucket: extent_bucket(s.outer_extent),
-    });
-    inner.poly_meta.lock().insert(sig, meta);
-    meta
-}
-
-fn batch_info_for(inner: &Inner, pending: &Pending) -> Option<Arc<BatchInfo>> {
-    if let Some(cached) = inner.batch_info.lock().get(&pending.sig) {
-        return cached.clone();
-    }
-    let info = batch::analyze(&pending.program).map(Arc::new);
-    inner.batch_info.lock().insert(pending.sig, info.clone());
-    info
+        })
 }
 
 /// What a successful fused launch hands back: per-request outputs plus
@@ -1923,123 +1772,16 @@ impl FusedFailure {
     }
 }
 
-/// One fused launch for `live` (all same-signature): concatenate batched
-/// inputs, run the widened program, split outputs per request. Any
-/// precondition or execution failure aborts the whole attempt with a
-/// typed [`FusedFailure`]; the caller falls back to per-request
-/// execution.
-fn run_fused(
-    inner: &Inner,
-    exec: &Executor,
-    live: &[Pending],
-    info: &BatchInfo,
-    batch_id: u64,
-) -> Result<FusedOutcome, FusedFailure> {
-    let k = live.len();
-    let base = &live[0].program;
-    let fused_prog = batch::batched_program(base, info, k);
-    let (fused_plan, _) = acquire_plan(inner, &fused_prog)
-        .map_err(|e| FusedFailure::precondition(format!("fused compile: {e}")))?;
-
-    let mut split_us = 0.0;
-    let concat_start = Instant::now();
-    let mut fused_inputs = HashMap::new();
-    for (bi, decl) in base.buffers.iter().enumerate() {
-        if decl.kind != BufferKind::Input {
-            continue;
-        }
-        let id = BufferId(bi);
-        if info.batched[bi] {
-            let parts = live
-                .iter()
-                .map(|p| p.inputs.get(&id))
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| {
-                    FusedFailure::precondition(format!("missing input '{}'", decl.name))
-                })?;
-            // Every per-request part must match the *base* declaration
-            // exactly — the fused executor only sees the concatenated
-            // total (B·k), so a short part and a long part that happen to
-            // sum to B·k would otherwise pass validation and split_outer
-            // would hand requests slices of each other's results. Reject
-            // here so the per-request fallback returns each caller the
-            // same typed `ExecError::Input` the unbatched path would.
-            for part in &parts {
-                let got = part.prog_dims();
-                if got != decl.dims {
-                    // An outer-only mismatch (inner dims fine) is the
-                    // length-mix case — meter it apart from shape errors.
-                    let ragged = got.len() == decl.dims.len() && got.get(1..) == decl.dims.get(1..);
-                    return Err(FusedFailure::Precondition {
-                        reason: format!(
-                            "input '{}' dims {:?} != declared {:?}",
-                            decl.name, got, decl.dims
-                        ),
-                        ragged,
-                    });
-                }
-            }
-            let fused = batch::concat_outer(&parts)
-                .map_err(|e| FusedFailure::precondition(format!("concat '{}': {e}", decl.name)))?;
-            fused_inputs.insert(id, fused);
-        } else {
-            // Shared buffers (weights) must be identical across the batch.
-            let first = live[0].inputs.get(&id).ok_or_else(|| {
-                FusedFailure::precondition(format!("missing input '{}'", decl.name))
-            })?;
-            for p in &live[1..] {
-                if p.inputs.get(&id) != Some(first) {
-                    return Err(FusedFailure::precondition(format!(
-                        "shared input '{}' differs across batch",
-                        decl.name
-                    )));
-                }
-            }
-            fused_inputs.insert(id, first.clone());
-        }
-    }
-
-    split_us += concat_start.elapsed().as_secs_f64() * 1e6;
-
-    let exec_start = Instant::now();
-    let fused_out = exec
-        .run_tagged(&fused_plan, &fused_inputs, Some(batch_id))
-        .map_err(FusedFailure::Exec)?;
-    let exec_us = exec_start.elapsed().as_secs_f64() * 1e6;
-    inner.metrics.exec_us.record(exec_us);
-    note_group_exec(inner, group_key(&live[0]), exec_us);
-
-    let split_start = Instant::now();
-    let mut per_request: Vec<HashMap<BufferId, FractalTensor>> =
-        (0..k).map(|_| HashMap::new()).collect();
-    for (id, ft) in fused_out {
-        if info.batched.get(id.0).copied().unwrap_or(false) {
-            let chunks = batch::split_outer(&ft, k)
-                .map_err(|e| FusedFailure::precondition(format!("split output: {e}")))?;
-            for (m, chunk) in per_request.iter_mut().zip(chunks) {
-                m.insert(id, chunk);
-            }
-        } else {
-            for m in per_request.iter_mut() {
-                m.insert(id, ft.clone());
-            }
-        }
-    }
-    split_us += split_start.elapsed().as_secs_f64() * 1e6;
-    Ok(FusedOutcome {
-        outputs: per_request,
-        exec_us,
-        split_us,
-    })
-}
-
-/// One **ragged** fused launch for a shape-polymorphic group: members may
-/// differ in outer extent. Batched inputs are concatenated along the
+/// One fused launch for `live` (one family, byte-verified), always
+/// **ragged**: members may differ in outer extent, and equal extents are
+/// just `extents = [B; k]`. Batched inputs are concatenated along the
 /// outer axis with each member's extent recorded, the family is
 /// instantiated at the summed extent and run once, and outputs are split
 /// back offset-aware ([`batch::split_outer_parts`]) so every member gets
-/// exactly its own rows.
-fn run_fused_poly(
+/// exactly its own rows. Any precondition or execution failure aborts the
+/// whole attempt with a typed [`FusedFailure`]; the caller falls back to
+/// per-request execution.
+fn run_fused(
     inner: &Inner,
     exec: &Executor,
     live: &[Pending],
@@ -2047,13 +1789,7 @@ fn run_fused_poly(
     batch_id: u64,
 ) -> Result<FusedOutcome, FusedFailure> {
     let info = family.info();
-    let extents = live
-        .iter()
-        .map(|p| p.poly.map(|m| m.extent))
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| {
-            FusedFailure::precondition("member without shape metadata in a polymorphic group")
-        })?;
+    let extents: Vec<usize> = live.iter().map(|p| p.family.outer_extent).collect();
     let total: usize = extents.iter().sum();
     let k = live.len();
 
@@ -2076,8 +1812,13 @@ fn run_fused_poly(
                     FusedFailure::precondition(format!("missing input '{}'", decl.name))
                 })?;
                 // Each part must carry exactly its request's extent over
-                // the shared inner dims — a wrong-length part would shift
-                // every later member's slice of the fused outputs.
+                // the shared inner dims: the executor only sees the
+                // concatenated total, so a short part and a long part that
+                // happen to sum to it would pass validation and the split
+                // would hand requests slices of each other's results.
+                // Reject here so the per-request fallback returns each
+                // caller the same typed `ExecError::Input` the unbatched
+                // path would.
                 let got = part.prog_dims();
                 if !(got.len() == decl.dims.len()
                     && got.first() == Some(&extent)
@@ -2212,7 +1953,16 @@ mod tests {
     use ft_tensor::Tensor;
 
     fn rnn_case(seed: u64) -> (Program, HashMap<BufferId, FractalTensor>) {
-        let (n, d, l, h) = (2usize, 2, 3, 8);
+        rnn_case_at(2, 2, 3, 8, seed)
+    }
+
+    fn rnn_case_at(
+        n: usize,
+        d: usize,
+        l: usize,
+        h: usize,
+        seed: u64,
+    ) -> (Program, HashMap<BufferId, FractalTensor>) {
         let p = stacked_rnn_program(n, d, l, h);
         let mut inputs = HashMap::new();
         inputs.insert(
@@ -2235,6 +1985,35 @@ mod tests {
         execute_reference(&compiled, inputs, 1).unwrap()
     }
 
+    /// A queue entry built by hand, as admission would.
+    fn pending(program: &Arc<Program>, inputs: HashMap<BufferId, FractalTensor>) -> Pending {
+        Pending {
+            family: family_split(program),
+            program: Arc::clone(program),
+            inputs,
+            submitted: Instant::now(),
+            deadline: None,
+            ticket: Arc::new(TicketState::default()),
+            ctx: TraceContext {
+                request_id: ft_obs::next_request_id(),
+                session_id: None,
+                plan_sig: String::new(),
+                batch_id: None,
+            },
+            queue_wait_us: 0.0,
+            session_step: None,
+        }
+    }
+
+    /// The stacked RNN with an outer `scan`: no polymorphic axis.
+    fn outer_scan_case(seed: u64) -> (Program, HashMap<BufferId, FractalTensor>) {
+        let (mut p, inputs) = rnn_case(seed);
+        for nest in &mut p.nests {
+            nest.ops[0] = ft_core::OpKind::ScanL;
+        }
+        (p, inputs)
+    }
+
     #[test]
     fn single_request_matches_reference() {
         let rt = Runtime::new(ServeConfig {
@@ -2250,19 +2029,23 @@ mod tests {
         assert_eq!(stats.cache_misses, 1);
     }
 
+    /// The one cache also emits the one counter pair on the global
+    /// registry (compared as deltas: every test shares that registry).
     #[test]
     fn resubmission_hits_the_plan_cache() {
-        let rt = Runtime::new(ServeConfig {
-            threads: 2,
-            batching: false,
-            ..ServeConfig::default()
-        });
+        let global = Registry::global();
+        let hits = global.counter("passes.plan_cache_hits");
+        let misses = global.counter("passes.plan_cache_misses");
+        let (h0, m0) = (hits.get(), misses.get());
+        let rt = Runtime::with_defaults();
         let (p, inputs) = rnn_case(1);
+        assert!(ft_core::poly_split(&p).is_some());
         rt.run(&p, inputs.clone()).unwrap();
         rt.run(&p, inputs).unwrap();
         let stats = rt.stats();
         assert_eq!(stats.cache_misses, 1, "second run must not recompile");
         assert!(stats.cache_hits >= 1);
+        assert!(misses.get() > m0 && hits.get() > h0);
     }
 
     #[test]
@@ -2378,7 +2161,7 @@ mod tests {
     /// batched inputs have the wrong outer lengths (1 and 3) that *sum* to
     /// the fused extent (2·2). Without per-part validation the fused path
     /// concatenates them, the executor sees a well-shaped B·k input, and
-    /// split_outer hands each request slices computed from the other's
+    /// the split hands each request slices computed from the other's
     /// data. Both must instead fail with the same typed input error the
     /// unbatched path produces, and never an `Ok`.
     #[test]
@@ -2505,7 +2288,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let (p, inputs) = rnn_case(13);
-        let sig = program_signature(&p).to_string();
+        let sig = family_split(&p).key.to_string();
         let tickets: Vec<_> = (0..4)
             .map(|_| {
                 rt.submit_wait(Request::new(p.clone(), inputs.clone()).with_session(77))
@@ -2657,26 +2440,7 @@ mod tests {
     /// is its own launch again.
     #[test]
     fn wait_estimator_accounts_for_batch_drain() {
-        let mk_pending = |inner: &Inner, program: &Arc<Program>| {
-            let sig = program_signature(program);
-            Pending {
-                sig,
-                program: Arc::clone(program),
-                inputs: HashMap::new(),
-                submitted: Instant::now(),
-                deadline: None,
-                ticket: Arc::new(TicketState::default()),
-                ctx: TraceContext {
-                    request_id: 0,
-                    session_id: None,
-                    plan_sig: String::new(),
-                    batch_id: None,
-                },
-                queue_wait_us: 0.0,
-                poly: poly_meta_for(inner, sig, program),
-                session_step: None,
-            }
-        };
+        let mk_pending = |program: &Arc<Program>| pending(program, HashMap::new());
         let program: Arc<Program> = Arc::new(stacked_rnn_program(2, 2, 3, 8));
 
         let rt = Runtime::new(ServeConfig {
@@ -2689,10 +2453,10 @@ mod tests {
         }
         let mut queue = VecDeque::new();
         for _ in 0..7 {
-            queue.push_back(mk_pending(&rt.inner, &program));
+            queue.push_back(mk_pending(&program));
         }
-        let est = estimate_wait_us(&rt.inner, &queue, &mk_pending(&rt.inner, &program))
-            .expect("history is warm");
+        let est =
+            estimate_wait_us(&rt.inner, &queue, &mk_pending(&program)).expect("history is warm");
         // 7 queued + the incoming one fit in ceil(8/8) = 1 fused launch:
         // ~2x mean with the safety margin — not the ~16x a depth-only
         // estimate charges (which is what over-shed batched traffic).
@@ -2705,10 +2469,10 @@ mod tests {
         let other: Arc<Program> = Arc::new(stacked_rnn_program(2, 3, 4, 16));
         let mut mixed = VecDeque::new();
         for _ in 0..7 {
-            mixed.push_back(mk_pending(&rt.inner, &other));
+            mixed.push_back(mk_pending(&other));
         }
-        let est_mixed = estimate_wait_us(&rt.inner, &mixed, &mk_pending(&rt.inner, &program))
-            .expect("history is warm");
+        let est_mixed =
+            estimate_wait_us(&rt.inner, &mixed, &mk_pending(&program)).expect("history is warm");
         assert!(
             est_mixed > est,
             "foreign backlog must cost more than a fusable one"
@@ -2725,9 +2489,9 @@ mod tests {
         }
         let mut queue_nb = VecDeque::new();
         for _ in 0..7 {
-            queue_nb.push_back(mk_pending(&rt_nb.inner, &program));
+            queue_nb.push_back(mk_pending(&program));
         }
-        let est_nb = estimate_wait_us(&rt_nb.inner, &queue_nb, &mk_pending(&rt_nb.inner, &program))
+        let est_nb = estimate_wait_us(&rt_nb.inner, &queue_nb, &mk_pending(&program))
             .expect("history is warm");
         assert!(
             est_nb >= 10_000,
@@ -3016,26 +2780,7 @@ mod tests {
     /// must not be under-priced by the blend.
     #[test]
     fn wait_estimator_prices_groups_by_their_own_history() {
-        let mk_pending = |inner: &Inner, program: &Arc<Program>| {
-            let sig = program_signature(program);
-            Pending {
-                sig,
-                program: Arc::clone(program),
-                inputs: HashMap::new(),
-                submitted: Instant::now(),
-                deadline: None,
-                ticket: Arc::new(TicketState::default()),
-                ctx: TraceContext {
-                    request_id: 0,
-                    session_id: None,
-                    plan_sig: String::new(),
-                    batch_id: None,
-                },
-                queue_wait_us: 0.0,
-                poly: poly_meta_for(inner, sig, program),
-                session_step: None,
-            }
-        };
+        let mk_pending = |program: &Arc<Program>| pending(program, HashMap::new());
         let rt = Runtime::new(ServeConfig {
             threads: 1,
             batching: false,
@@ -3045,8 +2790,8 @@ mod tests {
         // prefill-like launches, blended global mean ~10 ms.
         let fast: Arc<Program> = Arc::new(stacked_rnn_program(2, 2, 3, 8));
         let slow: Arc<Program> = Arc::new(stacked_rnn_program(2, 3, 4, 16));
-        let fast_key = group_key(&mk_pending(&rt.inner, &fast));
-        let slow_key = group_key(&mk_pending(&rt.inner, &slow));
+        let fast_key = group_key(&mk_pending(&fast));
+        let slow_key = group_key(&mk_pending(&slow));
         assert_ne!(fast_key, slow_key);
         for _ in 0..4 {
             rt.inner.metrics.exec_us.record(100.0);
@@ -3056,45 +2801,41 @@ mod tests {
             note_group_exec(&rt.inner, fast_key, 100.0);
             note_group_exec(&rt.inner, slow_key, 20_000.0);
         }
-        let queue_of = |inner: &Inner, program: &Arc<Program>, n: usize| {
-            let mut q = VecDeque::new();
-            for _ in 0..n {
-                q.push_back(mk_pending(inner, program));
-            }
-            q
+        let queue_of = |program: &Arc<Program>, n: usize| -> VecDeque<Pending> {
+            (0..n).map(|_| mk_pending(program)).collect()
         };
         // Fast behind its own backlog: 5 fast launches ≈ 500 µs (x2
         // margin ⇒ ~1 ms). The global blend would charge ~100 ms.
-        let fast_q = queue_of(&rt.inner, &fast, 4);
-        let est = estimate_wait_us(&rt.inner, &fast_q, &mk_pending(&rt.inner, &fast))
-            .expect("history is warm");
+        let fast_q = queue_of(&fast, 4);
+        let est =
+            estimate_wait_us(&rt.inner, &fast_q, &mk_pending(&fast)).expect("history is warm");
         assert!(
             est <= 2_000,
             "fast family over-priced by the global blend: {est} µs"
         );
         // Fast behind a slow backlog: the slow group's own mean must
         // dominate — 4 slow launches ≥ 80 ms, not the blend's discount.
-        let slow_q = queue_of(&rt.inner, &slow, 4);
-        let est_behind_slow = estimate_wait_us(&rt.inner, &slow_q, &mk_pending(&rt.inner, &fast))
-            .expect("history is warm");
+        let slow_q = queue_of(&slow, 4);
+        let est_behind_slow =
+            estimate_wait_us(&rt.inner, &slow_q, &mk_pending(&fast)).expect("history is warm");
         assert!(
             est_behind_slow >= 80_000,
             "slow backlog under-priced: {est_behind_slow} µs"
         );
         // Slow behind its own backlog prices even higher (5 slow launches).
-        let est_slow = estimate_wait_us(&rt.inner, &slow_q, &mk_pending(&rt.inner, &slow))
-            .expect("history is warm");
+        let est_slow =
+            estimate_wait_us(&rt.inner, &slow_q, &mk_pending(&slow)).expect("history is warm");
         assert!(
             est_slow > est_behind_slow,
             "slow-behind-slow must exceed fast-behind-slow"
         );
         // A group below GROUP_MIN_HISTORY falls back to the global mean.
         let cold: Arc<Program> = Arc::new(stacked_rnn_program(3, 2, 2, 8));
-        let cold_key = group_key(&mk_pending(&rt.inner, &cold));
+        let cold_key = group_key(&mk_pending(&cold));
         note_group_exec(&rt.inner, cold_key, 1.0);
-        let cold_q = queue_of(&rt.inner, &cold, 4);
-        let est_cold = estimate_wait_us(&rt.inner, &cold_q, &mk_pending(&rt.inner, &cold))
-            .expect("history is warm");
+        let cold_q = queue_of(&cold, 4);
+        let est_cold =
+            estimate_wait_us(&rt.inner, &cold_q, &mk_pending(&cold)).expect("history is warm");
         let global = rt.inner.metrics.exec_us.mean();
         assert!(
             (est_cold as f64) >= 5.0 * global,
@@ -3102,10 +2843,117 @@ mod tests {
         );
     }
 
+    /// A hash is a candidate, never proof: two different programs forged
+    /// onto one family key (and one length bucket) are never co-launched,
+    /// each is compiled beside the other, and each gets its own result.
+    #[test]
+    fn colliding_family_keys_are_never_co_launched() {
+        let rt = Runtime::new(ServeConfig {
+            threads: 2,
+            max_batch: 4,
+            ..ServeConfig::default()
+        });
+        let (pa, in_a) = rnn_case(41);
+        let (pb, in_b) = rnn_case_at(2, 2, 3, 16, 42);
+        let a = pending(&Arc::new(pa.clone()), in_a.clone());
+        let mut b = pending(&Arc::new(pb.clone()), in_b.clone());
+        b.family.key = a.family.key;
+        assert_eq!(group_key(&a), group_key(&b));
+        assert!(!same_launch(&a, &b));
+        let tickets: Vec<Ticket> = [&a, &b]
+            .iter()
+            .map(|p| Ticket {
+                state: Arc::clone(&p.ticket),
+                request_id: p.ctx.request_id,
+            })
+            .collect();
+        {
+            // Both are queued before the scheduler can pop either.
+            let mut queue = rt.inner.queue.lock();
+            queue.push_back(a);
+            queue.push_back(b);
+        }
+        rt.inner.not_empty.notify_one();
+        let got: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(got[0], reference(&pa, &in_a));
+        assert_eq!(got[1], reference(&pb, &in_b));
+        let stats = rt.stats();
+        assert_eq!((stats.batches, stats.batch_fallbacks), (0, 0));
+        assert_eq!(stats.cached_plans, 2, "colliders occupy separate slots");
+        assert_eq!(stats.cache_misses, 2);
+        for r in rt.take_completions() {
+            assert_eq!(r.fuse, FuseDecision::Solo);
+        }
+    }
+
+    /// Nothing in the runtime grows with the number of distinct exact
+    /// signatures: 64 extents of one structure are one cached plan.
+    #[test]
+    fn many_extents_of_one_structure_are_one_cached_plan() {
+        let rt = Runtime::new(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        for n in 1..=64usize {
+            let (p, inputs) = rnn_case_at(n, 1, 2, 4, n as u64);
+            rt.run(&p, inputs).unwrap();
+        }
+        let stats = rt.stats();
+        assert_eq!(stats.completed, 64);
+        assert_eq!((stats.cached_plans, stats.cache_misses), (1, 1));
+    }
+
+    /// A program without a polymorphic outer axis is a one-extent family:
+    /// cached like any other, never fused, bitwise equal to the
+    /// interpreter.
+    #[test]
+    fn one_extent_family_is_cached_and_served_solo() {
+        let rt = Runtime::new(ServeConfig {
+            threads: 2,
+            max_batch: 4,
+            ..ServeConfig::default()
+        });
+        let (p, inputs) = outer_scan_case(51);
+        assert!(ft_core::poly_split(&p).is_none());
+        rt.run(&p, inputs.clone()).unwrap();
+        rt.run(&p, inputs).unwrap();
+        let stats = rt.stats();
+        assert_eq!((stats.cache_misses, stats.cached_plans), (1, 1));
+        assert!(stats.cache_hits >= 1);
+        rt.take_completions();
+
+        let cases: Vec<_> = (52..56).map(outer_scan_case).collect();
+        let tickets: Vec<_> = cases
+            .iter()
+            .map(|(p, inputs)| {
+                rt.submit_wait(Request::new(p.clone(), inputs.clone()))
+                    .unwrap()
+            })
+            .collect();
+        for ((p, inputs), t) in cases.iter().zip(tickets) {
+            let want = ft_core::interp::run_program(p, inputs).unwrap();
+            assert_eq!(t.wait().unwrap(), want, "must equal the interpreter");
+        }
+        let after = rt.stats();
+        assert_eq!(after.completed, 6);
+        assert_eq!((after.batches, after.batch_fallbacks), (0, 0));
+        assert_eq!(after.cached_plans, 1);
+        let records = rt.take_completions();
+        assert_eq!(records.len(), 4);
+        for r in records {
+            assert_eq!(r.fuse, FuseDecision::Solo);
+        }
+        let family = PolyPlan::family(&p).unwrap();
+        assert!(matches!(
+            family.instance(family.template_extent() + 1),
+            Err(ft_passes::PassError::Invalid(_))
+        ));
+    }
+
     #[test]
     fn runtime_and_compiled_program_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<CompiledProgram>();
+        assert_send_sync::<ft_passes::CompiledProgram>();
         assert_send_sync::<Runtime>();
         assert_send_sync::<Ticket>();
         assert_send_sync::<ServeError>();

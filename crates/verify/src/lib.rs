@@ -223,11 +223,10 @@ pub enum VerifyError {
         /// What went wrong.
         detail: String,
     },
-    /// A shape-polymorphism invariant failed: the program has no
-    /// polymorphic outer axis, the schedule structure is not invariant
-    /// across extents, or the symbolic memory template drifted from the
-    /// instance shapes (legality over parameterized extents,
-    /// [`build_poly_verified`]).
+    /// A shape-polymorphism invariant failed: the schedule structure is
+    /// not invariant across extents, or the symbolic memory template
+    /// drifted from the instance shapes (legality over parameterized
+    /// extents, [`build_poly_verified`]).
     Poly {
         /// What went wrong.
         detail: String,
@@ -393,12 +392,13 @@ pub fn compile_verified(
     Ok((compiled, report))
 }
 
-/// Builds a shape-polymorphic plan family and verifies its legality over
-/// parameterized extents.
+/// Builds a program's plan family ([`ft_passes::PolyPlan::family`]) and
+/// verifies its legality over parameterized extents.
 ///
-/// A [`ft_passes::PolyPlan`] claims one schedule serves *every* outer
-/// extent. This checks the claim at two extents before the family is
-/// trusted:
+/// A polymorphic [`ft_passes::PolyPlan`] claims one schedule serves
+/// *every* outer extent. This checks the claim at two extents before the
+/// family is trusted (a one-extent family makes no such claim and has no
+/// second extent to probe: step 1 is its whole verification):
 ///
 /// 1. the instance at the family's template extent passes the full
 ///    legality suite ([`verify`]);
@@ -417,14 +417,16 @@ pub fn build_poly_verified(
     program: &ft_core::Program,
 ) -> Result<(ft_passes::PolyPlan, VerifyReport), VerifyError> {
     let poly_err = |detail: String| VerifyError::Poly { detail };
-    let family = ft_passes::PolyPlan::build(program)
-        .map_err(|e| VerifyError::Compile(e.to_string()))?
-        .ok_or_else(|| poly_err("program has no polymorphic outer axis".into()))?;
+    let family =
+        ft_passes::PolyPlan::family(program).map_err(|e| VerifyError::Compile(e.to_string()))?;
     let base_extent = family.template_extent();
     let base = family
         .instance(base_extent)
         .map_err(|e| VerifyError::Compile(e.to_string()))?;
     let report = verify(&base)?;
+    if !family.polymorphic() {
+        return Ok((family, report));
+    }
 
     let probe_extent = base_extent + 1;
     let probe = family
@@ -1186,17 +1188,17 @@ mod tests {
     }
 
     #[test]
-    fn poly_rejects_programs_without_a_polymorphic_axis() {
+    fn one_extent_family_is_verified_at_its_own_extent_only() {
         let mut p = stacked_rnn_program(2, 2, 3, 4);
         for nest in &mut p.nests {
             nest.ops[0] = ft_core::OpKind::ScanL;
         }
-        match build_poly_verified(&p) {
-            Err(VerifyError::Poly { detail }) => {
-                assert!(detail.contains("no polymorphic outer axis"))
-            }
-            other => panic!("expected Poly rejection, got {other:?}"),
-        }
+        let (family, report) = build_poly_verified(&p).unwrap();
+        assert!(!family.polymorphic());
+        let again = verify(&family.instance(2).unwrap()).unwrap();
+        assert_eq!((report.points, report.maps), (again.points, again.maps));
+        assert_eq!(family.cached_instances(), 1, "no probe extent exists");
+        assert!(family.instance(3).is_err());
     }
 
     #[test]

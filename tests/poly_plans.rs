@@ -11,7 +11,7 @@
 //!   and the native SIMD path, so the property holds across kernel
 //!   backends too.
 //! * **One cache entry serves every length** — [`PolyCache`] keys on the
-//!   shape-insensitive [`StructKey`]; N distinct-extent programs of one
+//!   shape-insensitive family identity; N distinct-extent programs of one
 //!   structure cost one build and N−1 hits.
 
 use std::collections::HashMap;
@@ -124,9 +124,7 @@ fn one_cache_entry_serves_many_lengths() {
         let (family, hit) = cache
             .get_or_build_with(&p, &split, |prog| {
                 builds += 1;
-                PolyPlan::build(prog)
-                    .map_err(|e| e.to_string())?
-                    .ok_or_else(|| "no polymorphic axis".to_string())
+                PolyPlan::family(prog)
             })
             .expect("family lookup");
         assert_eq!(hit, n != extents[0], "only the first extent may miss");
@@ -150,11 +148,7 @@ fn distinct_structures_get_distinct_entries() {
             let p = stacked_rnn_program(n, d, l, h);
             let split = poly_split(&p).expect("polymorphic split");
             cache
-                .get_or_build_with(&p, &split, |prog| {
-                    PolyPlan::build(prog)
-                        .map_err(|e| e.to_string())?
-                        .ok_or_else(|| "no polymorphic axis".to_string())
-                })
+                .get_or_build_with(&p, &split, PolyPlan::family)
                 .expect("family lookup");
         }
     }

@@ -148,3 +148,67 @@ fn deadline_does_not_poison_the_runtime() {
     let got = rt.run(&p, inputs.clone()).unwrap();
     assert_eq!(got, reference(&p, &inputs));
 }
+
+/// Every evaluation workload is served through the one family path: two
+/// concurrent submissions each equal a direct run of the exact-shape
+/// compile, bit for bit, from one cached family. (All seven have a
+/// polymorphic outer axis; `ft-serve`'s unit tests cover the one-extent
+/// family.)
+#[test]
+fn every_workload_serves_through_its_family() {
+    use ft_workloads::{attention, b2b, bigbird, dilated, grid, retnet};
+    type Case = (Program, HashMap<BufferId, FractalTensor>);
+    let cases: Vec<(&str, Case)> = vec![
+        ("lstm", {
+            let s = lstm::LstmShape::tiny();
+            (lstm::program(s), lstm::inputs(s, 1))
+        }),
+        ("dilated", {
+            let s = dilated::DilatedShape::tiny();
+            (dilated::program(s), dilated::inputs(s, 2))
+        }),
+        ("grid", {
+            let s = grid::GridShape::tiny();
+            (grid::program(s), grid::inputs(s, 3))
+        }),
+        ("b2b", {
+            let s = b2b::B2bShape::tiny();
+            (b2b::program(s), b2b::inputs(s, 4))
+        }),
+        ("attention", {
+            let s = attention::AttnShape::tiny();
+            (attention::program(s), attention::inputs(s, 5))
+        }),
+        ("bigbird", {
+            let s = bigbird::BigBirdShape::tiny();
+            (bigbird::program(s), bigbird::inputs(s, 6))
+        }),
+        ("retnet", {
+            let s = retnet::RetNetShape::tiny();
+            (retnet::program(s), retnet::inputs(s, 7))
+        }),
+    ];
+    for (name, (p, inputs)) in cases {
+        assert!(ft_core::poly_split(&p).is_some(), "{name}");
+        let rt = Runtime::new(ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        });
+        let want = ft_backend::Executor::new()
+            .threads(2)
+            .run(&compile(&p).unwrap(), &inputs)
+            .unwrap();
+        let tickets: Vec<_> = (0..2)
+            .map(|_| {
+                rt.submit_wait(Request::new(p.clone(), inputs.clone()))
+                    .unwrap()
+            })
+            .collect();
+        for t in tickets {
+            assert_eq!(t.wait().unwrap(), want, "{name}: served output differs");
+        }
+        let stats = rt.stats();
+        assert_eq!((stats.cached_plans, stats.cache_misses), (1, 1), "{name}");
+        assert_eq!(stats.batch_fallbacks, 0, "{name}");
+    }
+}
