@@ -254,8 +254,8 @@ pub struct ExecOutcome {
 /// large enough that an unlucky tail chunk cannot dominate a step.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Probe thread-track ids for executor workers start here so they never
-/// collide with the per-thread tracks the collector assigns.
+/// Span thread-track ids for executor workers start here so they never
+/// collide with the per-thread tracks the span collector assigns.
 const WORKER_TID_BASE: u64 = 1000;
 
 /// Arena buffers retained for reuse per executor (beyond this, extra
@@ -306,16 +306,13 @@ impl ArenaPool {
         let obs = exec_obs();
         self.acquires.fetch_add(1, Ordering::Relaxed);
         obs.arena_acquires.inc();
-        ft_probe::counter("exec.arena_acquires", 1.0);
         let mut buf = self.bufs.lock().pop().unwrap_or_default();
         if buf.data.capacity() >= arena_len && buf.written.capacity() >= slots_len {
             self.reused.fetch_add(1, Ordering::Relaxed);
             obs.arena_reused.inc();
-            ft_probe::counter("exec.arena_reused", 1.0);
         } else {
             self.grows.fetch_add(1, Ordering::Relaxed);
             obs.arena_grows.inc();
-            ft_probe::counter("exec.arena_grows", 1.0);
         }
         // High-water mark of the arena in elements: a point-in-time gauge
         // ft-top renders next to grows.
@@ -343,7 +340,7 @@ impl ArenaPool {
 /// executor's always-on counters: registered once, then every update is a
 /// relaxed atomic add. These stay live with tracing disabled — they are
 /// what `ft-top` and the Prometheus exporter read under production load.
-struct ExecObs {
+pub(crate) struct ExecObs {
     arena_acquires: ft_obs::Counter,
     arena_reused: ft_obs::Counter,
     arena_grows: ft_obs::Counter,
@@ -352,15 +349,17 @@ struct ExecObs {
     launch_groups: ft_obs::Counter,
     wavefront_steps: ft_obs::Counter,
     points: ft_obs::Counter,
-    worker_busy_us: ft_obs::Counter,
-    worker_idle_us: ft_obs::Counter,
+    worker_busy_ns: ft_obs::Counter,
+    worker_idle_ns: ft_obs::Counter,
     workers: ft_obs::Gauge,
     fallbacks: ft_obs::Counter,
     worker_panics: ft_obs::Counter,
     stalls: ft_obs::Counter,
+    pub(crate) udf_scratch_elems: ft_obs::Counter,
+    pub(crate) udf_output_elems: ft_obs::Counter,
 }
 
-fn exec_obs() -> &'static ExecObs {
+pub(crate) fn exec_obs() -> &'static ExecObs {
     static OBS: std::sync::OnceLock<ExecObs> = std::sync::OnceLock::new();
     OBS.get_or_init(|| {
         let reg = ft_obs::Registry::global();
@@ -373,12 +372,14 @@ fn exec_obs() -> &'static ExecObs {
             launch_groups: reg.counter("exec.launch_groups"),
             wavefront_steps: reg.counter("exec.wavefront_steps"),
             points: reg.counter("exec.points"),
-            worker_busy_us: reg.counter("exec.worker_busy_us"),
-            worker_idle_us: reg.counter("exec.worker_idle_us"),
+            worker_busy_ns: reg.counter("exec.worker_busy_ns"),
+            worker_idle_ns: reg.counter("exec.worker_idle_ns"),
             workers: reg.gauge("exec.workers"),
             fallbacks: reg.counter("exec.fallbacks"),
             worker_panics: reg.counter("exec.worker_panics"),
             stalls: reg.counter("exec.stalls"),
+            udf_scratch_elems: reg.counter("exec.udf_scratch_elems"),
+            udf_output_elems: reg.counter("exec.udf_output_elems"),
         }
     })
 }
@@ -650,8 +651,7 @@ impl Executor {
                     return Err(e);
                 }
                 exec_obs().fallbacks.inc();
-                ft_probe::counter("exec.fallbacks", 1.0);
-                let mut span = ft_probe::span("exec", "fallback");
+                let mut span = ft_obs::span("exec", "fallback");
                 if span.is_recording() {
                     span.field("error", e.to_string());
                 }
@@ -718,7 +718,7 @@ impl Executor {
         };
 
         exec_obs().workers.set(threads as i64);
-        let mut root = ft_probe::span("exec", "execute");
+        let mut root = ft_obs::span("exec", "execute");
         if root.is_recording() {
             root.field("program", etdg.name.as_str());
             root.field("groups", compiled.groups.len());
@@ -1030,7 +1030,7 @@ fn run_group(
     };
     let plan = Arc::new(GroupPlan::build(compiled, group, corrupt)?);
     exec_obs().launch_groups.inc();
-    let mut gspan = ft_probe::span("exec", "launch_group");
+    let mut gspan = ft_obs::span("exec", "launch_group");
     if gspan.is_recording() {
         gspan.field("group", group_idx);
         gspan.field("name", compiled.etdg.block(group.members[0]).name.as_str());
@@ -1040,7 +1040,6 @@ fn run_group(
         if let Some(b) = shared.batch {
             gspan.field("batch", b);
         }
-        ft_probe::counter("exec.launch_groups", 1.0);
     }
     shared.step.write().plan = Some(Arc::clone(&plan));
     let mut worker_stats: Vec<(usize, f64, f64, usize)> = Vec::with_capacity(threads);
@@ -1067,7 +1066,7 @@ fn run_group(
         if npoints == 0 {
             continue;
         }
-        let mut sspan = ft_probe::span("exec", "wavefront_step");
+        let mut sspan = ft_obs::span("exec", "wavefront_step");
         shared.cursor.store(0, Ordering::SeqCst);
         // Compute in parallel (reads only touch earlier steps or values
         // staged within the same segment), then apply the writes serially.
@@ -1090,7 +1089,6 @@ fn run_group(
             return Err(match err {
                 ft_pool::RunError::Panic(payload) => {
                     exec_obs().worker_panics.inc();
-                    ft_probe::counter("exec.worker_panics", 1.0);
                     ExecError::WorkerPanic {
                         group: group_idx,
                         step,
@@ -1099,7 +1097,6 @@ fn run_group(
                 }
                 ft_pool::RunError::Stalled { elapsed_ms } => {
                     exec_obs().stalls.inc();
-                    ft_probe::counter("exec.stalls", 1.0);
                     ExecError::Stalled {
                         group: group_idx,
                         step,
@@ -1169,8 +1166,10 @@ fn run_group(
         let obs = exec_obs();
         obs.wavefront_steps.inc();
         obs.points.add(npoints as u64);
-        obs.worker_busy_us.add(busy as u64);
-        obs.worker_idle_us.add(idle as u64);
+        // Summed in integer nanoseconds: a tiny step's busy time is a
+        // fraction of a microsecond, which a µs counter would truncate.
+        obs.worker_busy_ns.add((busy * 1e3).round() as u64);
+        obs.worker_idle_ns.add((idle * 1e3).round() as u64);
         if sspan.is_recording() {
             sspan.field("group", group_idx);
             sspan.field("step", step);
@@ -1183,15 +1182,9 @@ fn run_group(
             if let Some(b) = shared.batch {
                 sspan.field("batch", b);
             }
-            ft_probe::counter("exec.wavefront_steps", 1.0);
-            ft_probe::counter("exec.points", npoints as f64);
-            ft_probe::counter("exec.worker_busy_us", busy);
-            ft_probe::counter("exec.worker_idle_us", idle);
-            ft_probe::counter("exec.buffer_reads", reads_total as f64);
-            ft_probe::counter("exec.buffer_writes", writes_applied as f64);
             for &(w, ts, dur, points) in &worker_stats {
                 let tid = WORKER_TID_BASE + w as u64;
-                ft_probe::set_thread_label(ft_probe::WALL_PID, tid, format!("worker-{w}"));
+                ft_obs::set_thread_label(ft_obs::WALL_PID, tid, format!("worker-{w}"));
                 let mut fields = vec![
                     ("group".to_string(), group_idx.into()),
                     ("step".to_string(), step.into()),
@@ -1200,15 +1193,7 @@ fn run_group(
                 if let Some(b) = shared.batch {
                     fields.push(("batch".to_string(), b.into()));
                 }
-                ft_probe::complete_event(
-                    "exec",
-                    "worker",
-                    ft_probe::WALL_PID,
-                    tid,
-                    ts,
-                    dur,
-                    fields,
-                );
+                ft_obs::complete_event("exec", "worker", ft_obs::WALL_PID, tid, ts, dur, fields);
             }
         }
     }
@@ -1233,9 +1218,9 @@ fn worker_body(shared: &ExecShared, worker: usize) {
         guard: shared.guard,
         fault: shared.fault.as_deref(),
     };
-    // Always timed (not gated on probe_on): busy/idle attribution feeds
+    // Always timed (not gated on span recording): busy/idle attribution feeds
     // the always-on metrics registry, two clock reads per step per worker.
-    let t0 = ft_probe::now_us();
+    let t0 = ft_obs::now_us();
     let mut state = shared.workers[worker].lock();
     let Worker { out, scratch } = &mut *state;
     loop {
@@ -1274,7 +1259,7 @@ fn worker_body(shared: &ExecShared, worker: usize) {
             break;
         }
     }
-    out.stat = Some((t0, ft_probe::now_us() - t0));
+    out.stat = Some((t0, ft_obs::now_us() - t0));
 }
 
 /// Walks points `start..end` of the step as run segments: each run the

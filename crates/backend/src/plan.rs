@@ -290,8 +290,9 @@ impl GroupPlan {
             // fused UDF has scratch == output elements and the difference
             // is exactly the intermediates fusion failed to absorb.
             let out_elems: usize = udf.outputs.iter().map(|(_, n)| n).sum();
-            ft_probe::counter("exec.udf_scratch_elems", udf.tmps_len as f64);
-            ft_probe::counter("exec.udf_output_elems", out_elems as f64);
+            let obs = crate::exec::exec_obs();
+            obs.udf_scratch_elems.add(udf.tmps_len as u64);
+            obs.udf_output_elems.add(out_elems as u64);
             point_elems = point_elems.max(udf.tmps_len + out_elems);
             // `a·t + c >= 0` with `t = T⁻¹·j` is `(a·T⁻¹)·j + c >= 0`.
             let mut guards = Vec::with_capacity(block.domain.constraints().len() * (d + 1));

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use ft_core::builders::stacked_rnn_program;
 use ft_core::{BufferId, FractalTensor};
-use ft_obs::RegistrySnapshot;
+use ft_obs::{json_row, RegistrySnapshot};
 use ft_serve::{Request, Runtime, ServeConfig};
 use ft_tensor::Tensor;
 use serde_json::Value;
@@ -61,28 +61,19 @@ struct View {
 }
 
 impl View {
+    /// A live snapshot goes through the same JSON row an exporter writes,
+    /// so both sources render identically; only the batch-size buckets
+    /// (absent from the row) are taken from the snapshot directly.
     fn from_snapshot(snap: &RegistrySnapshot) -> View {
-        let mut v = View {
-            counters: snap.counters.clone(),
-            gauges: snap.gauges.clone(),
-            ..View::default()
-        };
-        for (name, h) in &snap.hists {
-            v.hists.insert(
-                name.clone(),
-                HistView {
-                    count: h.count,
-                    mean: h.mean(),
-                    p50: h.quantile(0.50),
-                    p95: h.quantile(0.95),
-                    p99: h.quantile(0.99),
-                },
-            );
+        let batch_buckets = snap
+            .hists
+            .get("serve.batch_size")
+            .map(|h| h.nonzero_buckets())
+            .unwrap_or_default();
+        View {
+            batch_buckets,
+            ..View::from_json_row(&json_row(snap, 0))
         }
-        if let Some(h) = snap.hists.get("serve.batch_size") {
-            v.batch_buckets = h.nonzero_buckets();
-        }
-        v
     }
 
     fn from_json_row(row: &Value) -> View {
@@ -193,8 +184,8 @@ fn render(now: &View, prev: &View, dt: f64, source: &str, frame: String) {
         }
     }
 
-    let busy = delta(now, prev, "exec.worker_busy_us") as f64;
-    let idle = delta(now, prev, "exec.worker_idle_us") as f64;
+    let busy = delta(now, prev, "exec.worker_busy_ns") as f64;
+    let idle = delta(now, prev, "exec.worker_idle_ns") as f64;
     let busy_pct = if busy + idle > 0.0 {
         100.0 * busy / (busy + idle)
     } else {

@@ -1,16 +1,17 @@
 //! End-to-end observability artifact generator.
 //!
 //! Runs one workload through the full stack — compile pipeline, wavefront
-//! executor, and the simulator strategy sweep — with the `ft-probe`
-//! collector enabled, then writes:
+//! executor, and the simulator strategy sweep — with `ft_obs` spans
+//! enabled, then writes:
 //!
 //! * `trace.json` — a Chrome/Perfetto trace (open in
 //!   <https://ui.perfetto.dev>): pipeline-pass spans, per-launch-group and
 //!   per-wavefront-step executor spans with worker busy/idle tracks, and
 //!   per-kernel roofline events on the simulated-time process track,
-//! * `metrics.json` — the flat counter/span-aggregate report,
-//! * one JSON line per simulated strategy on stdout (shared
-//!   [`ft_probe::json_lines`] framing).
+//! * `metrics.json` — the merged registries as one [`ft_obs::json_row`]
+//!   (the global registry, plus the serving runtime's on `serve`), with
+//!   the run's `meta` and a per-span-name count/total/max under `spans`,
+//! * one JSON line per simulated strategy on stdout.
 //!
 //! Usage:
 //!
@@ -18,21 +19,22 @@
 //! FT_TRACE=1 cargo run --release -p ft-bench --bin trace_report -- stacked_lstm [out_dir]
 //! ```
 //!
-//! The binary is the trace tool, so it also enables the probe itself —
+//! The binary is the trace tool, so it also enables spans itself —
 //! `FT_TRACE=1` is honored but not required. Workloads: `stacked_lstm`,
 //! `dilated`, `grid`, `b2b`, `attention`, `bigbird`, `retnet`, or `all`.
 //! Shapes are the reduced `tiny()` configurations so the CPU execution
-//! stays fast; simulator counters still reflect the full strategy sweep.
+//! stays fast; simulator events still reflect the full strategy sweep.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ft_backend::execute;
 use ft_core::adt::FractalTensor;
 use ft_core::{BufferId, Program};
+use ft_obs::{chrome_trace, json_row, Registry, RegistrySnapshot};
 use ft_passes::compile;
-use ft_probe::{chrome_trace, MetricsReport};
 use ft_workloads::{attention, b2b, bigbird, dilated, grid, lstm, retnet};
 use ft_workloads::{SimReport, Strategy};
+use serde_json::{json, Map, Value};
 
 const WORKLOADS: &[&str] = &[
     "stacked_lstm",
@@ -64,25 +66,23 @@ fn main() {
         std::process::exit(2);
     };
 
-    // This binary *is* the trace tool: enable the probe regardless of
+    // This binary *is* the trace tool: enable spans regardless of
     // FT_TRACE, and start from a drained collector.
-    ft_probe::enable();
-    let _ = ft_probe::take();
+    ft_obs::enable();
+    let _ = ft_obs::take();
 
     let mut sim_rows = Vec::new();
+    let mut metrics = RegistrySnapshot::default();
     for name in &names {
-        if let Err(e) = run_workload(name, &mut sim_rows) {
+        if let Err(e) = run_workload(name, &mut sim_rows, &mut metrics) {
             eprintln!("workload '{name}' failed: {e}");
             std::process::exit(1);
         }
     }
 
-    let snap = ft_probe::take();
-    let trace = chrome_trace(&snap);
-    let mut report = MetricsReport::from_snapshot(&snap)
-        .with_meta("workload", workload.as_str())
-        .with_meta("threads", THREADS as u64)
-        .with_meta("shape", "tiny");
+    let spans = ft_obs::take();
+    metrics.merge(&Registry::global().snapshot());
+    let trace = chrome_trace(&spans, &metrics);
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
@@ -90,9 +90,24 @@ fn main() {
     }
     let trace_path = format!("{out_dir}/trace.json");
     let metrics_path = format!("{out_dir}/metrics.json");
-    report = report.with_meta("trace_file", trace_path.as_str());
+    let unix_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis());
+    let mut report = json_row(&metrics, unix_ms);
+    let span_names = span_stats(&spans);
+    let names_count = span_names.len();
+    if let Value::Object(m) = &mut report {
+        let meta = json!({
+            "workload": workload.as_str(),
+            "threads": THREADS as u64,
+            "shape": "tiny",
+            "trace_file": trace_path.as_str(),
+        });
+        m.insert("meta".to_string(), meta);
+        m.insert("spans".to_string(), Value::Object(span_names));
+    }
     let trace_text = serde_json::to_string_pretty(&trace).expect("serialize trace");
-    let metrics_text = serde_json::to_string_pretty(&report.to_json()).expect("serialize metrics");
+    let metrics_text = serde_json::to_string_pretty(&report).expect("serialize metrics");
     let wrote = std::fs::write(&trace_path, trace_text)
         .and_then(|()| std::fs::write(&metrics_path, metrics_text));
     if let Err(e) = wrote {
@@ -100,14 +115,15 @@ fn main() {
         std::process::exit(1);
     }
 
-    print!("{}", ft_probe::json_lines(sim_rows));
+    for row in &sim_rows {
+        println!("{row}");
+    }
     eprintln!(
-        "wrote {trace_path} ({} events) and {metrics_path} ({} counters, {} span names)",
-        snap.events.len(),
-        report.counters.len(),
-        report.spans.len()
+        "wrote {trace_path} ({} events) and {metrics_path} ({} counters, {names_count} span names)",
+        spans.events.len(),
+        metrics.counters.len(),
     );
-    let fusion = |k: &str| report.counters.get(k).copied().unwrap_or(0.0);
+    let fusion = |k: &str| metrics.counters.get(k).copied().unwrap_or(0);
     eprintln!(
         "fusion: applied {} rejected {} tmp elems saved {}",
         fusion("passes.fusion_applied"),
@@ -116,8 +132,31 @@ fn main() {
     );
 }
 
-/// Compiles, executes, and strategy-sweeps one workload under the probe.
-fn run_workload(name: &str, sim_rows: &mut Vec<serde_json::Value>) -> Result<(), String> {
+/// Count, total and longest duration per `category/name` of span.
+fn span_stats(spans: &ft_obs::Snapshot) -> Map {
+    let mut stats: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
+    for e in &spans.events {
+        let s = stats.entry(format!("{}/{}", e.cat, e.name)).or_default();
+        s.0 += 1;
+        s.1 += e.dur_us;
+        s.2 = s.2.max(e.dur_us);
+    }
+    stats
+        .into_iter()
+        .map(|(k, (count, total_us, max_us))| {
+            let stat = json!({ "count": count, "total_us": total_us, "max_us": max_us });
+            (k, stat)
+        })
+        .collect()
+}
+
+/// Compiles, executes, and strategy-sweeps one workload with spans on.
+/// The `serve` workload merges its runtime's registry into `metrics`.
+fn run_workload(
+    name: &str,
+    sim_rows: &mut Vec<Value>,
+    metrics: &mut RegistrySnapshot,
+) -> Result<(), String> {
     match name {
         "stacked_lstm" => {
             let s = lstm::LstmShape::tiny();
@@ -170,23 +209,26 @@ fn run_workload(name: &str, sim_rows: &mut Vec<serde_json::Value>) -> Result<(),
                 retnet::simulate(s, strat)
             })
         }
-        "serve" => trace_serve().map(|()| Vec::new()),
+        "serve" => trace_serve().map(|runtime| {
+            metrics.merge(&runtime);
+            Vec::new()
+        }),
         other => Err(format!("unhandled workload '{other}'")),
     }
     .map(|rows| sim_rows.extend(rows))
 }
 
-/// A short serving session under the probe: concurrent same-plan requests
-/// through one runtime, so the `serve.*` queue-depth / batch-size /
-/// latency / setup counters (plus `passes.plan_cache_*`) land in
-/// metrics.json next to the executor's.
-fn trace_serve() -> Result<(), String> {
+/// A short serving session: concurrent same-plan requests through one
+/// runtime. Returns the runtime's registry, whose `serve.*` queue-depth /
+/// batch-size / latency / setup metrics land in metrics.json next to the
+/// executor's and `passes.plan_*` (global).
+fn trace_serve() -> Result<RegistrySnapshot, String> {
     use ft_core::builders::stacked_rnn_program;
     use ft_serve::{Request, Runtime, ServeConfig};
     use ft_tensor::Tensor;
     use std::sync::Arc;
 
-    let mut wspan = ft_probe::span("trace", "workload");
+    let mut wspan = ft_obs::span("trace", "workload");
     wspan.field("workload", "serve");
 
     let (n, d, l, h) = (1usize, 2, 32, 16);
@@ -217,7 +259,7 @@ fn trace_serve() -> Result<(), String> {
     let stats = rt.stats();
     wspan.field("completed", stats.completed);
     wspan.field("batches", stats.batches);
-    Ok(())
+    Ok(rt.metrics().snapshot())
 }
 
 /// Compile + execute + simulate one workload; returns the per-strategy
@@ -227,8 +269,8 @@ fn trace_one(
     program: Program,
     inputs: HashMap<BufferId, FractalTensor>,
     simulate: impl Fn(Strategy) -> Option<SimReport>,
-) -> Result<Vec<serde_json::Value>, String> {
-    let mut wspan = ft_probe::span("trace", "workload");
+) -> Result<Vec<Value>, String> {
+    let mut wspan = ft_obs::span("trace", "workload");
     wspan.field("workload", name);
 
     let compiled = compile(&program).map_err(|e| format!("compile: {e}"))?;
@@ -242,11 +284,11 @@ fn trace_one(
 
     let mut rows = Vec::new();
     for strat in Strategy::ALL {
-        let mut sspan = ft_probe::span("trace", "simulate");
+        let mut sspan = ft_obs::span("trace", "simulate");
         sspan.field("workload", name);
         sspan.field("strategy", strat.short());
         if let Some(r) = simulate(strat) {
-            rows.push(serde_json::json!({
+            rows.push(json!({
                 "workload": name,
                 "strategy": strat.short(),
                 "ms": r.ms,

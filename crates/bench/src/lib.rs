@@ -77,11 +77,8 @@ pub fn ft_speedup(row: &Row) -> Option<f64> {
     }
 }
 
-/// Serializes rows as JSON lines (used to build `EXPERIMENTS.md`).
-///
-/// Row shape is defined here; the line framing is [`ft_probe::json_lines`],
-/// the same serializer `trace_report` uses, so every machine-readable
-/// artifact in the repo agrees.
+/// Serializes rows as JSON lines (used to build `EXPERIMENTS.md`): one
+/// compact object per line, the framing `trace_report` prints too.
 pub fn render_json(experiment: &str, rows: &[Row]) -> String {
     let json_rows = rows.iter().flat_map(|row| {
         Strategy::ALL
@@ -102,7 +99,7 @@ pub fn render_json(experiment: &str, rows: &[Row]) -> String {
                 })
             })
     });
-    ft_probe::json_lines(json_rows)
+    json_rows.map(|row| format!("{row}\n")).collect()
 }
 
 #[cfg(test)]

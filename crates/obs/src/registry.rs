@@ -8,10 +8,13 @@
 //! functions on the [`Registry::global`] registry, which cost one shard read-lock
 //! plus a hash lookup.
 //!
-//! Semantics, fixing the `ft_probe::counter` misuse this replaces:
+//! This is the only place a total is kept: every counter in the
+//! workspace is registered here once, and spans ([`mod@crate::span`]) carry
+//! per-event fields only. Semantics:
 //!
 //! * [`Counter`] — monotonically increasing `u64` (requests served,
-//!   cache hits). Cumulative-sum semantics.
+//!   cache hits). Cumulative-sum semantics; durations are summed in
+//!   integer nanoseconds (`*_ns`) so per-event fractions are not lost.
 //! * [`Gauge`] — point-in-time `i64` (queue depth, workers busy). Set,
 //!   add, and subtract; exporting a gauge reports *now*, not a sum.
 //! * [`Histogram`] — a value distribution (latency, batch size). Exact

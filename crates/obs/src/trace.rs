@@ -9,8 +9,8 @@
 //! sharing the batch id — so per-request attribution survives fusion.
 //!
 //! Records land in a bounded [`TraceLog`] ring buffer (drained by tests,
-//! the exporter, and `ft-top`) and are optionally mirrored as Perfetto
-//! complete events via [`CompletionRecord::emit_probe`].
+//! the exporter, and `ft-top`) and, when spans are recorded, also appear
+//! as Perfetto complete events via [`CompletionRecord::emit_span`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,19 +138,19 @@ impl CompletionRecord {
         })
     }
 
-    /// Mirrors the record into `ft-probe` as a complete event ending at
-    /// `end_us` (probe time), so the Perfetto export shows one span per
-    /// request on a `requests` track, stacked by batch. No-op when
-    /// tracing is disabled.
-    pub fn emit_probe(&self, end_us: f64) {
-        if !ft_probe::enabled() {
+    /// Records the request as a complete span event ending at `end_us`
+    /// ([`crate::now_us`] time), so the Perfetto export shows one span
+    /// per request on a `requests` track, stacked by batch. No-op when
+    /// spans are off.
+    pub fn emit_span(&self, end_us: f64) {
+        if !crate::enabled() {
             return;
         }
         // Spread overlapping requests across a few tracks so Perfetto
         // doesn't fold concurrent spans into one malformed stack.
         let tid = REQUEST_TID_BASE + self.ctx.request_id % REQUEST_TRACKS;
-        ft_probe::set_thread_label(ft_probe::WALL_PID, tid, "requests");
-        let mut fields: Vec<(String, ft_probe::FieldValue)> = vec![
+        crate::set_thread_label(crate::WALL_PID, tid, "requests");
+        let mut fields: Vec<(String, crate::FieldValue)> = vec![
             ("request_id".into(), self.ctx.request_id.into()),
             ("plan_sig".into(), self.ctx.plan_sig.as_str().into()),
             ("queue_wait_us".into(), self.queue_wait_us.into()),
@@ -170,10 +170,10 @@ impl CompletionRecord {
         if let FuseDecision::Fallback(reason) = &self.fuse {
             fields.push(("fallback_reason".into(), reason.as_str().into()));
         }
-        ft_probe::complete_event(
+        crate::complete_event(
             "serve",
             format!("request:{}", self.ctx.request_id),
-            ft_probe::WALL_PID,
+            crate::WALL_PID,
             tid,
             (end_us - self.total_us).max(0.0),
             self.total_us,
@@ -182,7 +182,7 @@ impl CompletionRecord {
     }
 }
 
-/// Probe thread-track ids for per-request spans start here (executor
+/// Thread-track ids for per-request spans start here (executor
 /// worker tracks start at 1000; keep the ranges disjoint).
 const REQUEST_TID_BASE: u64 = 2000;
 const REQUEST_TRACKS: u64 = 8;

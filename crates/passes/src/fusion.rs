@@ -34,7 +34,7 @@ use ft_tensor::Shape;
 pub const MAX_EPI_OPS: usize = 8;
 
 /// Outcome counters of one fusion sweep, mirrored into the
-/// `passes.fusion_*` probe counters by the compile pipeline.
+/// `passes.fusion_*` registry counters by the compile pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// Rewrites committed (one per fused anchor statement).

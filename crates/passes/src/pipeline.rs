@@ -85,18 +85,16 @@ impl CompiledProgram {
 /// assert_eq!(compiled.groups[0].wavefront_steps(), 6);
 /// ```
 pub fn compile(program: &Program) -> Result<CompiledProgram> {
-    let mut root = ft_probe::span("compile", "compile");
+    let mut root = ft_obs::span("compile", "compile");
     root.field("program", program.name.as_str());
 
     let (etdg, plan, groups) = compile_scheduled(program)?;
     let memory = {
-        let mut s = ft_probe::span("compile", "pass.layout");
+        let mut s = ft_obs::span("compile", "pass.layout");
         let memory = plan_memory(&etdg, &groups);
         if s.is_recording() {
             s.field("arena_len", memory.arena_len);
             s.field("reused_ranges", memory.reused_ranges);
-            ft_probe::counter("passes.arena_len", memory.arena_len as f64);
-            ft_probe::counter("passes.arena_reused_ranges", memory.reused_ranges as f64);
         }
         memory
     };
@@ -119,7 +117,7 @@ pub(crate) fn compile_scheduled(
     program: &Program,
 ) -> Result<(Etdg, CoarsePlan, Vec<ScheduledGroup>)> {
     let parsed = {
-        let mut s = ft_probe::span("compile", "pass.parse");
+        let mut s = ft_obs::span("compile", "pass.parse");
         let parsed = parse_program(program)?;
         if s.is_recording() {
             s.field("blocks", parsed.blocks.len());
@@ -130,7 +128,7 @@ pub(crate) fn compile_scheduled(
     };
 
     let (mut etdg, plan) = {
-        let mut s = ft_probe::span("compile", "pass.coarsen");
+        let mut s = ft_obs::span("compile", "pass.coarsen");
         let (blocks_before, edges_before) = (parsed.blocks.len(), graph_edges(&parsed));
         let (etdg, plan) = coarsen(&parsed)?;
         if s.is_recording() {
@@ -147,16 +145,6 @@ pub(crate) fn compile_scheduled(
             s.field("edges_after", edges_after);
             s.field("launch_groups", plan.launch_count());
             s.field("access_map_fusions", fusions);
-            ft_probe::counter(
-                "passes.etdg_node_delta",
-                blocks_after as f64 - blocks_before as f64,
-            );
-            ft_probe::counter(
-                "passes.etdg_edge_delta",
-                edges_after as f64 - edges_before as f64,
-            );
-            ft_probe::counter("passes.access_map_fusions", fusions as f64);
-            ft_probe::counter("passes.launch_groups", plan.launch_count() as f64);
         }
         (etdg, plan)
     };
@@ -168,16 +156,13 @@ pub(crate) fn compile_scheduled(
         // so reordering and layout below see the same graph shape. The
         // backend's scratch planner allocates nothing for fused-away
         // intermediates — their statements no longer exist.
-        let mut s = ft_probe::span("compile", "pass.fusion");
+        let mut s = ft_obs::span("compile", "pass.fusion");
         let fs = crate::fusion::fuse_graph(&mut etdg);
         if s.is_recording() {
             s.field("applied", fs.applied);
             s.field("rejected", fs.rejected);
             s.field("tmp_elems_saved", fs.tmp_elems_saved);
         }
-        ft_probe::counter("passes.fusion_applied", fs.applied as f64);
-        ft_probe::counter("passes.fusion_rejected", fs.rejected as f64);
-        ft_probe::counter("passes.fusion_tmp_elems_saved", fs.tmp_elems_saved as f64);
         let reg = ft_obs::Registry::global();
         reg.counter_add("passes.fusion_applied", fs.applied as u64);
         reg.counter_add("passes.fusion_rejected", fs.rejected as u64);
@@ -186,7 +171,7 @@ pub(crate) fn compile_scheduled(
 
     let mut groups = Vec::with_capacity(plan.groups.len());
     for (gi, g) in plan.groups.iter().enumerate() {
-        let mut s = ft_probe::span("compile", "pass.reorder");
+        let mut s = ft_obs::span("compile", "pass.reorder");
         let reordering = reorder_group(&etdg, &g.members)?;
         if s.is_recording() {
             let (lo, hi) = reordering.wavefront_range();

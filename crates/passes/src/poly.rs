@@ -529,7 +529,6 @@ impl PolyPlan {
                 ft_obs::Registry::global()
                     .counter("passes.poly_template_fallback")
                     .inc();
-                ft_probe::counter("passes.poly_template_fallback", 1.0);
                 plan_memory(&etdg, &groups)
             }
         };
@@ -537,7 +536,6 @@ impl PolyPlan {
         ft_obs::Registry::global()
             .counter("passes.plan_instantiations")
             .inc();
-        ft_probe::counter("passes.plan_instantiations", 1.0);
         let compiled = Arc::new(CompiledProgram {
             etdg,
             plan,
@@ -688,11 +686,10 @@ impl PolyCache {
     }
 }
 
-/// Bumps a cache counter and mirrors it to both telemetry sinks.
+/// Bumps a cache counter and its registry twin.
 fn count(local: &AtomicU64, name: &'static str) {
     local.fetch_add(1, Ordering::Relaxed);
     ft_obs::Registry::global().counter(name).inc();
-    ft_probe::counter(name, 1.0);
 }
 
 impl std::fmt::Debug for PolyCache {

@@ -855,7 +855,6 @@ impl Runtime {
                 }
                 if !block {
                     self.inner.metrics.rejected.inc();
-                    ft_probe::counter("serve.rejected", 1.0);
                     return Err(ServeError::QueueFull {
                         capacity: self.inner.cfg.queue_capacity,
                     });
@@ -881,7 +880,6 @@ impl Runtime {
                         if submitted + Duration::from_micros(estimated_us) > dl {
                             drop(queue);
                             self.inner.metrics.shed.inc();
-                            ft_probe::counter("serve.shed", 1.0);
                             return Err(ServeError::Shed { estimated_us });
                         }
                     }
@@ -897,7 +895,6 @@ impl Runtime {
         self.inner
             .peak_queue_depth
             .fetch_max(depth as u64, Ordering::Relaxed);
-        ft_probe::counter("serve.submitted", 1.0);
         self.inner.not_empty.notify_one();
         Ok(Ticket { state, request_id })
     }
@@ -964,12 +961,10 @@ impl Runtime {
             if entry.appends() && entry.step >= entry.capacity {
                 let capacity = entry.capacity;
                 self.inner.metrics.session_errors.inc();
-                ft_probe::counter("serve.session_errors", 1.0);
                 entry.strikes += 1;
                 if entry.strikes >= SESSION_STRIKE_LIMIT {
                     sessions.remove(&session);
                     self.inner.metrics.session_evictions.inc();
-                    ft_probe::counter("serve.session_evictions", 1.0);
                     sync_session_gauges(&self.inner, &sessions);
                 }
                 return Err(ServeError::Session(SessionError::Overflow {
@@ -1278,17 +1273,14 @@ fn settle_session_step(inner: &Inner, sid: u64, result: ServeResult) -> ServeRes
             entry.strikes = 0;
             inner.metrics.state_copies.add(copies);
             inner.metrics.decode_steps.inc();
-            ft_probe::counter("serve.decode_steps", 1.0);
             Ok(outputs)
         }
         Err(e) => {
             entry.strikes += 1;
             inner.metrics.session_errors.inc();
-            ft_probe::counter("serve.session_errors", 1.0);
             if entry.strikes >= SESSION_STRIKE_LIMIT {
                 sessions.remove(&sid);
                 inner.metrics.session_evictions.inc();
-                ft_probe::counter("serve.session_evictions", 1.0);
                 sync_session_gauges(inner, &sessions);
             }
             Err(ServeError::Session(e))
@@ -1300,7 +1292,6 @@ fn settle_session_step(inner: &Inner, sid: u64, result: ServeResult) -> ServeRes
 /// and the attributable completion record `fulfill` would have.
 fn resolve_inflight(inner: &Inner, entry: Inflight, err: ServeError) {
     inner.metrics.failed.inc();
-    ft_probe::counter("serve.failed", 1.0);
     let total_us = entry.submitted.elapsed().as_secs_f64() * 1e6;
     let record = CompletionRecord {
         ctx: entry.ctx,
@@ -1313,7 +1304,7 @@ fn resolve_inflight(inner: &Inner, entry: Inflight, err: ServeError) {
         total_us,
         status: CompletionStatus::Error(err.to_string()),
     };
-    record.emit_probe(ft_probe::now_us());
+    record.emit_span(ft_obs::now_us());
     inner.trace.push(record);
     let mut slot = entry.ticket.slot.lock();
     if slot.is_none() {
@@ -1344,7 +1335,6 @@ fn supervisor_loop(inner: &Arc<Inner>) {
                     resolve_inflight(inner, e, ServeError::SchedulerDown);
                 }
                 inner.metrics.scheduler_restarts.inc();
-                ft_probe::counter("serve.scheduler_restarts", 1.0);
             }
         }
     }
@@ -1469,7 +1459,6 @@ fn note_plan_outcome(inner: &Inner, key: StructKey, ok: bool) {
             };
             inner.metrics.quarantine_trips.inc();
             inner.metrics.quarantined_plans.inc();
-            ft_probe::counter("serve.quarantine_trips", 1.0);
         }
         _ => {}
     }
@@ -1500,14 +1489,12 @@ fn replace_engine(inner: &Inner, exec: &mut Executor) {
     eng.pool = pool;
     *exec = eng.exec.clone();
     inner.metrics.pool_replacements.inc();
-    ft_probe::counter("serve.pool_replacements", 1.0);
 }
 
 /// Notes a stall: meters it, and replaces the poisoned pool so the rest
 /// of the group (and all later groups) run on a healthy engine.
 fn recover_from_stall(inner: &Inner, exec: &mut Executor) {
     inner.metrics.stalled.inc();
-    ft_probe::counter("serve.stalled", 1.0);
     replace_engine(inner, exec);
 }
 
@@ -1534,7 +1521,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                 BreakerState::Open { until } if now < until => {
                     drop(quarantine);
                     inner.metrics.quarantine_rejected.add(live.len() as u64);
-                    ft_probe::counter("serve.quarantine_rejected", live.len() as f64);
                     for p in live {
                         fulfill(inner, p, Err(ServeError::Quarantined), Phases::default());
                     }
@@ -1543,7 +1529,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                 BreakerState::Open { .. } => {
                     b.state = BreakerState::HalfOpen;
                     inner.metrics.quarantine_probes.inc();
-                    ft_probe::counter("serve.quarantine_probes", 1.0);
                 }
                 _ => {}
             }
@@ -1579,10 +1564,8 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
     };
     if hit {
         inner.metrics.setup_cached_us.record(setup_us);
-        ft_probe::counter("serve.setup_cached", 1.0);
     } else {
         inner.metrics.setup_cold_us.record(setup_us);
-        ft_probe::counter("serve.setup_cold", 1.0);
     }
     let phases = Phases {
         setup_us,
@@ -1614,7 +1597,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                 inner.metrics.batched_requests.add(k as u64);
                 inner.metrics.batch_size.record(k as f64);
                 inner.max_batch.fetch_max(k as u64, Ordering::Relaxed);
-                ft_probe::counter("serve.batches", 1.0);
                 note_plan_outcome(inner, key, true);
                 for (mut p, out) in live.into_iter().zip(fused.outputs) {
                     p.ctx.batch_id = Some(batch_id);
@@ -1635,7 +1617,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
             Err(fail) => {
                 // Fused execution is best-effort; serve individually.
                 inner.metrics.batch_fallbacks.inc();
-                ft_probe::counter("serve.batch_fallbacks", 1.0);
                 let reason = match fail {
                     FusedFailure::Precondition { reason, ragged } => {
                         if ragged {
@@ -1643,7 +1624,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                             // outer extent), distinct from genuine
                             // shape errors.
                             inner.metrics.batch_ragged_fallback.inc();
-                            ft_probe::counter("serve.batch_ragged_fallback", 1.0);
                         }
                         reason
                     }
@@ -1654,8 +1634,6 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                         // request errors. Meter the isolation cost.
                         inner.metrics.batch_bisections.inc();
                         inner.metrics.retries.add(live.len() as u64);
-                        ft_probe::counter("serve.batch_bisections", 1.0);
-                        ft_probe::counter("serve.retries", live.len() as f64);
                         if matches!(e, ExecError::Stalled { .. }) {
                             // The stall poisoned the pool; the solo
                             // retries need a healthy one.
@@ -1664,7 +1642,7 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
                         format!("fused execution: {e}")
                     }
                 };
-                let mut span = ft_probe::span("serve", "batch_fallback");
+                let mut span = ft_obs::span("serve", "batch_fallback");
                 if span.is_recording() {
                     span.field("reason", reason.as_str());
                     span.field("batch_id", batch_id);
@@ -1913,17 +1891,14 @@ fn fulfill(inner: &Inner, mut pending: Pending, result: ServeResult, phases: Pha
         Ok(_) => {
             inner.metrics.completed.inc();
             inner.metrics.latency_us.record(latency_us);
-            ft_probe::counter("serve.completed", 1.0);
             CompletionStatus::Ok
         }
         Err(ServeError::Deadline) => {
             inner.metrics.deadline_expired.inc();
-            ft_probe::counter("serve.deadline_expired", 1.0);
             CompletionStatus::Deadline
         }
         Err(e) => {
             inner.metrics.failed.inc();
-            ft_probe::counter("serve.failed", 1.0);
             CompletionStatus::Error(e.to_string())
         }
     };
@@ -1938,7 +1913,7 @@ fn fulfill(inner: &Inner, mut pending: Pending, result: ServeResult, phases: Pha
         total_us: latency_us,
         status,
     };
-    record.emit_probe(ft_probe::now_us());
+    record.emit_span(ft_obs::now_us());
     inner.trace.push(record);
     let mut slot = pending.ticket.slot.lock();
     *slot = Some(result);

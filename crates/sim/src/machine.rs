@@ -229,7 +229,7 @@ impl SimMachine {
             l1_us,
             total_us: cfg.kernel_launch_us + compute_us.max(dram_us).max(l2_us).max(l1_us),
         };
-        if ft_probe::enabled() {
+        if ft_obs::enabled() {
             // The kernel's roofline breakdown, placed on the simulated
             // timeline (SIM_PID) so wall-clock spans and modeled time stay
             // on separate tracks in the trace viewer.
@@ -244,10 +244,10 @@ impl SimMachine {
             } else {
                 "l1"
             };
-            ft_probe::complete_event(
+            ft_obs::complete_event(
                 "sim",
                 format!("kernel.{}", k.name),
-                ft_probe::SIM_PID,
+                ft_obs::SIM_PID,
                 0,
                 self.elapsed_us,
                 timing.total_us,
@@ -266,12 +266,6 @@ impl SimMachine {
                     ("bound".to_string(), bound.into()),
                 ],
             );
-            ft_probe::counter("sim.kernels", 1.0);
-            ft_probe::counter("sim.flops", k.flops as f64);
-            ft_probe::counter("sim.dram_bytes", dram_bytes as f64);
-            ft_probe::counter("sim.l2_bytes", l2_request_bytes as f64);
-            ft_probe::counter("sim.l1_bytes", l1_bytes as f64);
-            ft_probe::counter(&format!("sim.bound.{bound}"), 1.0);
         }
         self.elapsed_us += timing.total_us;
         self.kernels_launched += 1;

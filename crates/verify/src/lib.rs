@@ -639,11 +639,12 @@ pub fn verify_session_bindings(
 /// Verifies every scheduled group of a compiled program, returning
 /// statistics on success and the first violation found otherwise.
 ///
-/// Stats flow into ft-probe (`verify.*` counters plus a
-/// `verify/legality_check` span) so `trace_report` surfaces them.
+/// Stats flow into the global `ft_obs` registry (`verify.*` counters)
+/// and, when spans are recorded, a `verify/legality_check` span, so
+/// `trace_report` and the exporters surface them.
 pub fn verify(compiled: &CompiledProgram) -> Result<VerifyReport, VerifyError> {
     let t0 = Instant::now();
-    let mut span = ft_probe::span("verify", "legality_check");
+    let mut span = ft_obs::span("verify", "legality_check");
     let mut report = VerifyReport {
         complete: true,
         ..VerifyReport::default()
@@ -662,14 +663,15 @@ pub fn verify(compiled: &CompiledProgram) -> Result<VerifyReport, VerifyError> {
             span.field("violation", e.to_string());
         }
     }
-    ft_probe::counter("verify.groups", report.groups as f64);
-    ft_probe::counter("verify.maps", report.maps as f64);
-    ft_probe::counter("verify.distances", report.distances as f64);
-    ft_probe::counter("verify.points", report.points as f64);
-    ft_probe::counter("verify.udfs", report.udfs as f64);
-    ft_probe::counter("verify.wall_us", report.wall_us);
+    let reg = ft_obs::Registry::global();
+    reg.counter_add("verify.groups", report.groups as u64);
+    reg.counter_add("verify.maps", report.maps as u64);
+    reg.counter_add("verify.distances", report.distances as u64);
+    reg.counter_add("verify.points", report.points as u64);
+    reg.counter_add("verify.udfs", report.udfs as u64);
+    reg.counter_add("verify.wall_ns", (report.wall_us * 1e3).round() as u64);
     if outcome.is_err() {
-        ft_probe::counter("verify.violations", 1.0);
+        reg.counter("verify.violations").inc();
     }
     outcome.map(|()| report)
 }

@@ -1,7 +1,7 @@
 //! End-to-end checks for the plan-time kernel fusion pass: the stacked
 //! RNN's cell math must fuse into a GEMM register-tile epilogue, the
 //! fused-away intermediates must allocate zero scratch (asserted through
-//! the probe counters the scratch planner emits), and the fused executor
+//! the registry counters the scratch planner emits), and the fused executor
 //! must stay bit-for-bit equal to the reference executor and the
 //! interpreter in every SIMD mode.
 
@@ -15,13 +15,12 @@ use ft_core::expr::OpCode;
 use ft_core::interp::run_program;
 use ft_core::program::BufferId;
 use ft_passes::compile;
-use ft_probe::MetricsReport;
 use ft_simd::EpiOp;
 use ft_tensor::Tensor;
 use ft_verify::verify;
 
 /// Serializes the tests in this binary: they flip the global SIMD mode
-/// and drain the global probe collector, both of which are process-wide.
+/// and read deltas of global registry counters, both process-wide.
 static LOCK: Mutex<()> = Mutex::new(());
 
 type Inputs = HashMap<BufferId, FractalTensor>;
@@ -85,31 +84,26 @@ fn stacked_rnn_cell_fuses_into_gemm_epilogue() {
 #[test]
 fn fused_intermediates_allocate_zero_scratch() {
     let _g = LOCK.lock().unwrap();
-    ft_probe::enable();
-    let _ = ft_probe::take();
+    let reg = ft_obs::Registry::global();
+    let names = [
+        "passes.fusion_applied",
+        "exec.udf_scratch_elems",
+        "exec.udf_output_elems",
+    ];
+    let before = names.map(|k| reg.counter(k).get());
     let p = stacked_rnn_program(2, 3, 4, 8);
     let ins = rnn_inputs(2, 3, 4, 8, 11);
     let compiled = compile(&p).unwrap();
     execute(&compiled, &ins, 1).unwrap();
-    let report = MetricsReport::from_snapshot(&ft_probe::take());
-    let c = |k: &str| report.counters.get(k).copied().unwrap_or(0.0);
-    assert!(c("passes.fusion_applied") >= 1.0, "fusion pass never fired");
+    let [fused, scratch, outputs] = [0, 1, 2].map(|i| reg.counter(names[i]).get() - before[i]);
+    assert!(fused >= 1, "fusion pass never fired");
     // `exec.udf_scratch_elems` counts every statement's output window,
     // outputs included; equality with `exec.udf_output_elems` means the
     // fused-away intermediates allocate exactly zero scratch.
-    let scratch = c("exec.udf_scratch_elems");
-    let outputs = c("exec.udf_output_elems");
-    assert!(outputs > 0.0, "no UDF outputs planned");
+    assert!(outputs > 0, "no UDF outputs planned");
     assert_eq!(
         scratch, outputs,
         "fused epilogue intermediates must not allocate scratch"
-    );
-    // The ft-obs registry mirrors the probe counter for always-on metrics.
-    assert!(
-        ft_obs::Registry::global()
-            .counter("passes.fusion_applied")
-            .get()
-            >= 1
     );
 }
 

@@ -148,16 +148,25 @@ fn out_of_range_map_in_a_workload_names_group_and_buffer() {
 
 #[test]
 fn verifier_stats_reach_the_probe() {
-    ft_probe::enable();
-    let _ = ft_probe::take();
-    verify(&compiled_rnn()).unwrap();
-    let snap = ft_probe::take();
-    for needed in ["verify.groups", "verify.maps", "verify.points"] {
-        let v = snap.counters.get(needed).copied().unwrap_or(0.0);
-        assert!(v > 0.0, "missing or zero counter {needed}");
+    // Other tests here verify concurrently and only ever add to these
+    // counters, so this run's own stats are a lower bound on the delta.
+    let reg = ft_obs::Registry::global();
+    let names = ["verify.groups", "verify.maps", "verify.points"];
+    let before = names.map(|k| reg.counter(k).get());
+    ft_obs::enable();
+    let report = verify(&compiled_rnn()).unwrap();
+    let spans = ft_obs::take();
+    ft_obs::disable();
+    let own = [report.groups, report.maps, report.points];
+    for ((name, b), own) in names.iter().zip(before).zip(own) {
+        assert!(own > 0, "zero {name} in the report");
+        assert!(
+            reg.counter(name).get() - b >= own as u64,
+            "{name} not counted"
+        );
     }
     assert!(
-        snap.events.iter().any(|e| e.name == "legality_check"),
+        spans.events.iter().any(|e| e.name == "legality_check"),
         "verify span missing from the trace"
     );
 }
