@@ -1,14 +1,15 @@
-//! The pre-pool executor, kept as a benchmark baseline and differential
-//! oracle.
+//! The pre-pool executor, kept as a differential oracle and as the
+//! fallback path.
 //!
 //! This is the original execution strategy the persistent-pool executor in
 //! [`crate::exec`] replaced: every wavefront step of every launch group
 //! spawns fresh scoped threads over statically chunked points, each point
 //! re-applies `Reordering::to_original` and the full access maps, and
 //! cross-member intermediates forward through a hashed per-point overlay.
-//! `bench_exec` measures [`execute_reference`] against [`crate::execute`]
-//! to quantify the pool's win; the randomized tests run both against the
-//! interpreter.
+//! The tests check [`crate::execute`] against it and both against the
+//! interpreter, and a guarded run that fails can fall back to it. It is not
+//! a performance baseline: the repository benchmark measures the executor
+//! against the host's measured ceilings and the `ft-core` interpreter.
 
 use std::collections::HashMap;
 

@@ -1,437 +1,247 @@
-//! `bench_compare`: the perf-regression gate. Diffs a current bench
-//! report against a committed baseline and fails (exit 1) when a
-//! headline metric regresses by more than the threshold.
+//! `bench_compare`: the regression gate over the repository benchmark.
 //!
 //! ```text
-//! cargo run --release -p ft-bench --bin bench_compare -- \
-//!     --baseline BENCH_exec.json --current target/BENCH_exec.json --threshold 0.15
-//! cargo run --release -p ft-bench --bin bench_compare -- --self-test
+//! bash benchmark/run.sh --seed 1 > base1.txt      # parent tree; >=3 captures a side
+//! bash benchmark/run.sh --seed 1 > change1.txt    # changed tree; >=3, + one --trace 1
+//! cargo run --release -p ft-bench --bin bench_compare -- --base base1.txt [..] \
+//!     --change change1.txt [..] [--meta commit=abc1234 ..]
 //! ```
 //!
-//! Only *ratio* metrics are gated — quantities that divide out the host's
-//! absolute speed and should reproduce across machines:
-//!
-//! * `exec` reports: per-row `speedup` (pooled executor vs reference
-//!   interpreter), matched on `(workload, threads)`.
-//! * `serve` reports: `setup.speedup` (cold compile+verify vs cached plan
-//!   lookup) and `batched_vs_unbatched_throughput`.
-//!
-//! Rows present only in the baseline (e.g. a full baseline diffed against
-//! a `--smoke` run) are reported as skipped, not failed; the gate demands
-//! at least one comparable metric so an empty intersection cannot pass
-//! vacuously. Absolute times (`gemm` ms, raw rps) are intentionally not
-//! gated. `--self-test` verifies the gate itself: it injects a synthetic
-//! ~20% regression in-process and asserts detection at the 15% threshold,
-//! and asserts that an unchanged report passes.
+//! `BENCHMARK.json`, read from the working directory, gives the workloads
+//! and each end-to-end metric's unit, `better` and `bound`; a capture (stdout of `benchmark/run.sh`) gives
+//! `W name value unit` and `W operations attempted A ok O failed F` lines.
+//! A side's value is the median over its captures. The gate exits 1 if a
+//! median is worse than its bound, a failed share rose, or a (workload,
+//! metric) pair is missing on either side. Its last line is the change
+//! side's medians (traced per-layer ones included) as one JSON object: the
+//! `BENCH_history.jsonl` line format. `--self-test` checks the gate itself.
 
-use serde_json::Value;
+use std::collections::BTreeMap;
 
-/// One comparable metric extracted from a report pair.
-#[derive(Debug, Clone)]
-struct MetricCmp {
+use serde_json::{json, Map, Value};
+
+/// One end-to-end metric of the spec.
+struct Metric {
     name: String,
-    baseline: f64,
-    current: f64,
-    /// Compare on `log10` of the values instead of linearly. Used for
-    /// metrics whose headline claim is an order of magnitude (plan-cache
-    /// setup amortization, where the cached-lookup denominator is a few
-    /// microseconds and linear run-to-run noise spans several x).
-    log_scale: bool,
+    unit: String,
+    higher_is_better: bool,
+    bound: f64,
 }
 
-impl MetricCmp {
-    /// Fractional change, positive = improvement (all gated metrics are
-    /// higher-is-better ratios).
-    fn change(&self) -> f64 {
-        if self.baseline <= 0.0 || self.current <= 0.0 {
-            return 0.0;
-        }
-        if self.log_scale {
-            let b = self.baseline.log10();
-            if b.abs() < f64::EPSILON {
-                return 0.0;
-            }
-            self.current.log10() / b - 1.0
-        } else {
-            self.current / self.baseline - 1.0
-        }
-    }
+/// What the gate reads from `BENCHMARK.json`.
+struct Spec {
+    workloads: Vec<String>,
+    end_to_end: Vec<Metric>,
 }
 
-/// Extracts the gated metrics common to both reports, plus the names of
-/// baseline metrics the current report is missing (skipped).
-fn extract(baseline: &Value, current: &Value) -> Result<(Vec<MetricCmp>, Vec<String>), String> {
-    let kind = baseline["bench"].as_str().unwrap_or("");
-    if current["bench"].as_str().unwrap_or("") != kind {
-        return Err(format!(
-            "bench kind mismatch: baseline {:?} vs current {:?}",
-            baseline["bench"], current["bench"]
-        ));
-    }
-    let mut metrics = Vec::new();
-    let mut skipped = Vec::new();
-    match kind {
-        "exec" => {
-            let rows = |v: &Value| -> Vec<(String, u64, f64)> {
-                v["exec"]
-                    .as_array()
-                    .map(|rows| {
-                        rows.iter()
-                            .filter_map(|r| {
-                                Some((
-                                    r["workload"].as_str()?.to_string(),
-                                    r["threads"].as_u64()?,
-                                    r["speedup"].as_f64()?,
-                                ))
-                            })
-                            .collect()
+impl Spec {
+    fn parse(text: &str) -> Option<Spec> {
+        let v: Value = serde_json::from_str(text).ok()?;
+        let list = |key: &str| v[key].as_array().map(|a| a.iter());
+        Some(Spec {
+            workloads: list("workloads")?
+                .map(|w| w["name"].as_str().map(String::from))
+                .collect::<Option<_>>()?,
+            end_to_end: list("end_to_end")?
+                .map(|m| {
+                    Some(Metric {
+                        name: m["name"].as_str()?.to_string(),
+                        unit: m["unit"].as_str()?.to_string(),
+                        higher_is_better: m["better"].as_str()? == "higher",
+                        bound: m["bound"].as_f64()?,
                     })
-                    .unwrap_or_default()
-            };
-            let cur = rows(current);
-            for (workload, threads, base_speedup) in rows(baseline) {
-                let name = format!("exec.speedup[{workload}, threads={threads}]");
-                match cur.iter().find(|(w, t, _)| *w == workload && *t == threads) {
-                    Some(&(_, _, cur_speedup)) => metrics.push(MetricCmp {
-                        name,
-                        baseline: base_speedup,
-                        current: cur_speedup,
-                        log_scale: false,
-                    }),
-                    None => skipped.push(name),
-                }
-            }
-            // Per-kernel SIMD speedup from the roofline sweep: the ratio of
-            // the native-mode rate over the scalar rate for the same kernel.
-            // Same-machine ratio, so it divides out absolute host speed; a
-            // scalar-only host produces no native rows and the kernels are
-            // skipped rather than failed.
-            let simd = |v: &Value| -> Vec<(String, f64)> {
-                let rows = v["roofline"].as_array().cloned().unwrap_or_default();
-                let rate = |kernel: &str, want_scalar: bool| -> Option<f64> {
-                    rows.iter()
-                        .find(|r| {
-                            r["kernel"].as_str() == Some(kernel)
-                                && (r["mode"].as_str() == Some("scalar")) == want_scalar
-                        })
-                        .and_then(|r| r["rate"].as_f64())
-                        .filter(|x| *x > 0.0)
-                };
-                let mut seen = Vec::new();
-                let mut out = Vec::new();
-                for r in &rows {
-                    let Some(kernel) = r["kernel"].as_str() else {
-                        continue;
-                    };
-                    if seen.iter().any(|k| k == kernel) {
-                        continue;
-                    }
-                    seen.push(kernel.to_string());
-                    if let (Some(s), Some(n)) = (rate(kernel, true), rate(kernel, false)) {
-                        out.push((kernel.to_string(), n / s));
+                })
+                .collect::<Option<_>>()?,
+        })
+    }
+}
+
+/// One side of the comparison: every capture's lines, pooled.
+#[derive(Default)]
+struct Side {
+    captures: u64,
+    /// `workload/metric` → (one value per capture, unit).
+    values: BTreeMap<String, (Vec<f64>, String)>,
+    /// workload → (attempted, failed), summed over captures.
+    ops: BTreeMap<String, (u64, u64)>,
+}
+
+impl Side {
+    fn add_capture(&mut self, text: &str) {
+        self.captures += 1;
+        for line in text.lines() {
+            match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [w, "operations", "attempted", a, "ok", _, "failed", f] => {
+                    if let (Ok(a), Ok(f)) = (a.parse::<u64>(), f.parse::<u64>()) {
+                        let e = self.ops.entry(w.to_string()).or_default();
+                        *e = (e.0 + a, e.1 + f);
                     }
                 }
-                out
-            };
-            let cur_simd = simd(current);
-            for (kernel, base_ratio) in simd(baseline) {
-                let name = format!("exec.simd_speedup[{kernel}]");
-                match cur_simd.iter().find(|(k, _)| *k == kernel) {
-                    Some(&(_, cur_ratio)) => metrics.push(MetricCmp {
-                        name,
-                        baseline: base_ratio,
-                        current: cur_ratio,
-                        log_scale: false,
-                    }),
-                    None => skipped.push(name),
+                [w, name, value, unit] => {
+                    if let Ok(v) = value.parse::<f64>() {
+                        let e = self.values.entry(format!("{w}/{name}")).or_default();
+                        e.0.push(v);
+                        e.1 = unit.to_string();
+                    }
                 }
+                _ => {}
             }
         }
-        "serve" => {
-            let pairs = [
-                // Setup amortization is gated on its order of magnitude:
-                // the cached-lookup denominator is single-digit µs, so the
-                // linear ratio swings several x between identical runs.
-                ("serve.setup.speedup", &["setup", "speedup"][..], true),
-                (
-                    "serve.batched_vs_unbatched_throughput",
-                    &["batched_vs_unbatched_throughput"][..],
-                    false,
-                ),
-                // Steady-state decode throughput win from fusing concurrent
-                // session steps into one wavefront launch per tick. Absent
-                // from baselines older than stateful sessions; those skip
-                // the pair.
-                (
-                    "serve.sessions.continuous_vs_solo",
-                    &["sessions", "continuous_vs_solo_tokens_per_sec"][..],
-                    false,
-                ),
-            ];
-            for (name, path, log_scale) in pairs {
-                let dig = |mut v: &Value| -> Option<f64> {
-                    for k in path {
-                        v = &v[*k];
-                    }
-                    v.as_f64().filter(|x| *x > 0.0)
-                };
-                match (dig(baseline), dig(current)) {
-                    (Some(b), Some(c)) => metrics.push(MetricCmp {
-                        name: name.to_string(),
-                        baseline: b,
-                        current: c,
-                        log_scale,
-                    }),
-                    (Some(_), None) => skipped.push(name.to_string()),
-                    _ => {}
-                }
-            }
+    }
+
+    fn median(&self, key: &str) -> Option<f64> {
+        let mut v = self.values.get(key)?.0.clone();
+        v.sort_by(f64::total_cmp);
+        Some((v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0)
+    }
+
+    /// The history line: `meta`, the capture count and every median with
+    /// its sample count `n` (traced captures alone print per-layer metrics).
+    fn history_line(&self, mut meta: Map) -> String {
+        let mut metrics = Map::new();
+        for (key, (values, unit)) in &self.values {
+            let m = json!({"value": self.median(key), "unit": unit.as_str(), "n": values.len()});
+            metrics.insert(key.clone(), m);
         }
-        other => return Err(format!("unknown bench kind {other:?}")),
+        meta.insert("runs".into(), self.captures.into());
+        meta.insert("metrics".into(), metrics.into());
+        Value::from(meta).to_string()
     }
-    Ok((metrics, skipped))
 }
 
-/// Runs the gate over one report pair. Returns the regressed metrics.
-fn compare(baseline: &Value, current: &Value, threshold: f64) -> Result<Vec<MetricCmp>, String> {
-    let (metrics, skipped) = extract(baseline, current)?;
-    if metrics.is_empty() {
-        return Err("no comparable metrics between baseline and current".to_string());
+/// Compares the two sides; returns the report and the failures.
+fn gate(spec: &Spec, base: &Side, change: &Side) -> (String, Vec<String>) {
+    let mut report =
+        "workload       metric                     base       change unit     delta  bound\n"
+            .to_string();
+    let mut failures = Vec::new();
+    for w in &spec.workloads {
+        for m in &spec.end_to_end {
+            let key = format!("{w}/{}", m.name);
+            let (Some(b), Some(c)) = (base.median(&key), change.median(&key)) else {
+                failures.push(format!("{key}: missing on the base or the change side"));
+                continue;
+            };
+            let delta = if b != 0.0 { c / b - 1.0 } else { 0.0 };
+            let worse = if m.higher_is_better { -delta } else { delta };
+            if worse > m.bound {
+                failures.push(format!("{key}: {b} -> {c} is out of bound"));
+            }
+            report += &format!(
+                "{w:14} {:18} {b:>12.4} {c:>12.4} {:5} {:>+7.1}% {:>5.0}%\n",
+                m.name,
+                m.unit,
+                delta * 100.0,
+                m.bound * 100.0
+            );
+        }
+        let share = |s: &Side| s.ops.get(w).map(|&(a, f)| f as f64 / a.max(1) as f64);
+        match (share(base), share(change)) {
+            (Some(b), Some(c)) if c > b => failures.push(format!("{w}: failed share {b} -> {c}")),
+            (Some(_), Some(_)) => {}
+            _ => failures.push(format!("{w}: operations line missing on one side")),
+        }
     }
-    let mut regressed = Vec::new();
-    for m in &metrics {
-        let change = m.change();
-        let verdict = if change < -threshold {
-            regressed.push(m.clone());
-            "REGRESSED"
-        } else if change > threshold {
-            "improved"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:58} baseline {:9.3}  current {:9.3}  {:+6.1}%{} {}",
-            m.name,
-            m.baseline,
-            m.current,
-            change * 100.0,
-            if m.log_scale { " (log10)" } else { "" },
-            verdict
-        );
-    }
-    for name in &skipped {
-        println!("  {name:58} (missing from current run; skipped)");
-    }
-    Ok(regressed)
+    (report, failures)
 }
 
-fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("bench_compare: cannot read {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("bench_compare: bad JSON {path}: {e}"))
-}
-
-/// Gate self-test: the injected regression must trip the gate and the
-/// unchanged report must pass — proving the gate can actually fail.
+/// The gate must be able to fail: each injected fault must trip it and the
+/// unchanged capture must pass.
 fn self_test() -> bool {
-    let parse =
-        |s: &str| -> Value { serde_json::from_str(s).expect("self-test fixture is valid JSON") };
-    let exec_base = parse(
-        r#"{"bench": "exec", "exec": [
-            {"workload": "stacked_rnn d=8 l=64", "threads": 8, "speedup": 3.8},
-            {"workload": "attention tiny", "threads": 4, "speedup": 2.5}],
-            "roofline": [
-            {"kernel": "gemm 256", "mode": "scalar", "rate": 4.0},
-            {"kernel": "gemm 256", "mode": "avx2", "rate": 6.0},
-            {"kernel": "tanh", "mode": "scalar", "rate": 1.0},
-            {"kernel": "tanh", "mode": "avx2", "rate": 10.0}]}"#,
-    );
-    // ~21% regression on one row: must be detected at threshold 0.15.
-    let exec_regressed = parse(
-        r#"{"bench": "exec", "exec": [
-            {"workload": "stacked_rnn d=8 l=64", "threads": 8, "speedup": 3.0},
-            {"workload": "attention tiny", "threads": 4, "speedup": 2.5}],
-            "roofline": [
-            {"kernel": "gemm 256", "mode": "scalar", "rate": 4.0},
-            {"kernel": "gemm 256", "mode": "avx2", "rate": 6.0},
-            {"kernel": "tanh", "mode": "scalar", "rate": 1.0},
-            {"kernel": "tanh", "mode": "avx2", "rate": 10.0}]}"#,
-    );
-    // Kernel-level SIMD collapse (10x -> 5x tanh) with the end-to-end rows
-    // unchanged: the per-kernel gate must catch what the aggregate hides.
-    let exec_kernel_regressed = parse(
-        r#"{"bench": "exec", "exec": [
-            {"workload": "stacked_rnn d=8 l=64", "threads": 8, "speedup": 3.8},
-            {"workload": "attention tiny", "threads": 4, "speedup": 2.5}],
-            "roofline": [
-            {"kernel": "gemm 256", "mode": "scalar", "rate": 4.0},
-            {"kernel": "gemm 256", "mode": "avx2", "rate": 6.0},
-            {"kernel": "tanh", "mode": "scalar", "rate": 1.0},
-            {"kernel": "tanh", "mode": "avx2", "rate": 5.0}]}"#,
-    );
-    // Scalar-only host: no native roofline rows. The kernels must be
-    // skipped (host difference, not a regression).
-    let exec_scalar_host = parse(
-        r#"{"bench": "exec", "exec": [
-            {"workload": "stacked_rnn d=8 l=64", "threads": 8, "speedup": 3.8},
-            {"workload": "attention tiny", "threads": 4, "speedup": 2.5}],
-            "roofline": [
-            {"kernel": "gemm 256", "mode": "scalar", "rate": 4.0},
-            {"kernel": "tanh", "mode": "scalar", "rate": 1.0}]}"#,
-    );
-    let serve_base = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 300.0},
-            "batched_vs_unbatched_throughput": 2.0}"#,
-    );
-    // 20% regression on the batching headline: must be detected.
-    let serve_regressed = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 300.0},
-            "batched_vs_unbatched_throughput": 1.6}"#,
-    );
-    // Within-noise dip: must pass. The setup speedup is compared in log
-    // space — 300 -> 200 is a -33% linear drop but only a -7% exponent
-    // change, which is exactly why the jitter-prone metric is gated on
-    // its order of magnitude.
-    let serve_noisy = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 200.0},
-            "batched_vs_unbatched_throughput": 1.9}"#,
-    );
-    // Amortization collapse (300x -> 2x): must trip even the log gate.
-    let serve_collapsed = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 2.0},
-            "batched_vs_unbatched_throughput": 2.0}"#,
-    );
-    // Report with the continuous-batching headline. Compared against
-    // `serve_base` (which predates the field) the pair must be skipped,
-    // not treated as a regression or an error.
-    let serve_sessions = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 300.0},
-            "batched_vs_unbatched_throughput": 2.0,
-            "sessions": {"continuous_vs_solo_tokens_per_sec": 2.6}}"#,
-    );
-    // 35% collapse of the continuous-batching ratio: must be detected.
-    let serve_sessions_regressed = parse(
-        r#"{"bench": "serve", "setup": {"speedup": 300.0},
-            "batched_vs_unbatched_throughput": 2.0,
-            "sessions": {"continuous_vs_solo_tokens_per_sec": 1.7}}"#,
-    );
-
+    let spec = r#"{"workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": [
+        {"name": "lat", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "tput", "unit": "1/s", "better": "higher", "bound": 0.25}]}"#;
+    let spec = Spec::parse(spec).expect("the self-test spec is complete");
+    let base = "a lat 1.0 ms\na tput 100 1/s\na operations attempted 100 ok 100 failed 0\n\
+                b lat 2.0 ms\nb tput 50 1/s\nb operations attempted 50 ok 50 failed 0\n\
+                {\"correct\": true}\n";
+    // (case, text replaced in the base capture, its replacement, passes)
+    let cases = [
+        ("identical: passes", "", "", true),
+        ("a/lat +20%: passes", "a lat 1.0", "a lat 1.2", true),
+        ("a/lat +30% (lower): fails", "a lat 1.0", "a lat 1.3", false),
+        (
+            "b/tput -30% (higher): fails",
+            "b tput 50",
+            "b tput 35",
+            false,
+        ),
+        ("b/tput missing: fails", "b tput 50 1/s\n", "", false),
+        (
+            "b failed share up: fails",
+            "50 failed 0",
+            "49 failed 1",
+            false,
+        ),
+    ];
+    let mut base_side = Side::default();
+    base_side.add_capture(base);
     let mut ok = true;
-    let mut check = |label: &str, want_regressions: bool, got: Result<Vec<MetricCmp>, String>| {
-        let pass = match &got {
-            Ok(regs) => regs.is_empty() != want_regressions,
-            Err(_) => false,
-        };
-        println!(
-            "self-test {:40} {}",
-            label,
-            if pass { "ok" } else { "FAILED" }
-        );
-        if !pass {
-            ok = false;
-        }
-    };
+    for (case, from, to, passes) in cases {
+        let mut change = Side::default();
+        change.add_capture(&base.replace(from, to));
+        let right = gate(&spec, &base_side, &change).1.is_empty() == passes;
+        println!("self-test {case:30} {}", ["WRONG", "ok"][right as usize]);
+        ok &= right;
+    }
+    ok
+}
 
-    println!("exec: unchanged report");
-    let r = compare(&exec_base, &exec_base, 0.15);
-    check("exec unchanged passes", false, r);
-    println!("exec: 21% speedup regression injected");
-    let r = compare(&exec_base, &exec_regressed, 0.15);
-    check("exec 21% regression detected", true, r);
-    println!("exec: per-kernel SIMD speedup collapse injected");
-    let r = compare(&exec_base, &exec_kernel_regressed, 0.15);
-    check("exec kernel simd collapse detected", true, r);
-    println!("exec: scalar-only host (no native roofline rows)");
-    let r = compare(&exec_base, &exec_scalar_host, 0.15);
-    check("exec scalar host kernels skipped", false, r);
-    println!("serve: unchanged report");
-    let r = compare(&serve_base, &serve_base, 0.15);
-    check("serve unchanged passes", false, r);
-    println!("serve: 20% batching regression injected");
-    let r = compare(&serve_base, &serve_regressed, 0.15);
-    check("serve 20% regression detected", true, r);
-    println!("serve: noise-scale dip within threshold");
-    let r = compare(&serve_base, &serve_noisy, 0.15);
-    check("serve noise-scale dip tolerated", false, r);
-    println!("serve: setup amortization collapse");
-    let r = compare(&serve_base, &serve_collapsed, 0.15);
-    check("serve amortization collapse detected", true, r);
-    println!("serve: baseline predates the sessions ratio");
-    let r = compare(&serve_base, &serve_sessions, 0.15);
-    check("serve old baseline skips sessions pair", false, r);
-    println!("serve: continuous batching collapse injected");
-    let r = compare(&serve_sessions, &serve_sessions_regressed, 0.15);
-    check("serve sessions collapse detected", true, r);
-    println!("empty intersection");
-    let empty = parse(r#"{"bench": "exec", "exec": []}"#);
-    let pass = compare(&empty, &empty, 0.15).is_err();
-    println!(
-        "self-test {:40} {}",
-        "empty intersection rejected",
-        if pass { "ok" } else { "FAILED" }
-    );
-    ok && pass
+fn usage() -> ! {
+    eprintln!("usage: bench_compare --base F.. --change F.. [--meta K=V].. | --self-test");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--self-test") {
-        if self_test() {
-            println!("bench_compare self-test: all checks passed");
-            std::process::exit(0);
-        }
-        eprintln!("bench_compare self-test: FAILED");
-        std::process::exit(1);
+        let ok = self_test();
+        let verdict = ["FAILED", "all checks passed"][ok as usize];
+        println!("bench_compare self-test: {verdict}");
+        std::process::exit(if ok { 0 } else { 1 });
     }
-
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let baseline_path = flag("--baseline").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline BASE.json --current CUR.json [--threshold 0.15] | --self-test");
-        std::process::exit(2);
-    });
-    let current_path = flag("--current").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline BASE.json --current CUR.json [--threshold 0.15] | --self-test");
-        std::process::exit(2);
-    });
-    let threshold: f64 = flag("--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.15);
-
-    println!(
-        "bench_compare: {baseline_path} vs {current_path} (threshold {:.0}%)",
-        threshold * 100.0
-    );
-    let baseline = load(&baseline_path);
-    let current = load(&current_path);
-    match compare(&baseline, &current, threshold) {
-        Ok(regressed) if regressed.is_empty() => {
-            println!("gate: PASS");
-        }
-        Ok(regressed) => {
-            eprintln!(
-                "gate: FAIL — {} metric(s) regressed more than {:.0}%:",
-                regressed.len(),
-                threshold * 100.0
-            );
-            for m in regressed {
-                eprintln!(
-                    "  {}: {:.3} -> {:.3} ({:+.1}%)",
-                    m.name,
-                    m.baseline,
-                    m.current,
-                    m.change() * 100.0
-                );
+    let read = |path: &str| std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    // Provenance: this host's CPUs and CPU model; commit, seed, seconds from
+    // `--meta KEY=VALUE`, whose value is JSON or else a string.
+    let mut meta = Map::new();
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'));
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = cpu.map_or("unknown", |c| c.1.trim());
+    meta.insert("host".into(), json!({"nproc": nproc, "cpu": cpu}));
+    let (mut base, mut change) = (Side::default(), Side::default());
+    let mut side = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
+        match arg.as_str() {
+            "--base" | "--change" => side = Some(arg == "--base"),
+            "--meta" => {
+                let kv = value();
+                let (k, v) = kv.split_once('=').unwrap_or_else(|| usage());
+                let v = serde_json::from_str(v).unwrap_or_else(|_| v.into());
+                meta.insert(k.into(), v);
             }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("gate: FAIL — {e}");
-            std::process::exit(1);
+            path if !path.starts_with("--") => match side {
+                Some(true) => base.add_capture(&read(path)),
+                Some(false) => change.add_capture(&read(path)),
+                None => usage(),
+            },
+            _ => usage(),
         }
     }
+    let spec = Spec::parse(&read("BENCHMARK.json")).expect("workloads and end_to_end metrics");
+    let (report, failures) = gate(&spec, &base, &change);
+    print!("{report}");
+    failures.iter().for_each(|f| eprintln!("FAIL {f}"));
+    println!("gate: {}", ["FAIL", "PASS"][failures.is_empty() as usize]);
+    println!("{}", change.history_line(meta));
+    std::process::exit(if failures.is_empty() { 0 } else { 1 });
+}
+
+#[test]
+fn self_test_passes() {
+    assert!(self_test());
 }

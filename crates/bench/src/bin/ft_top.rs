@@ -12,8 +12,8 @@
 //! client threads, then samples the runtime-local registry (`serve.*`)
 //! merged with the global one (`exec.*`, `pool.*`, `passes.*`) every
 //! interval. `--follow FILE` instead tails the last row of an exporter's
-//! `metrics.jsonl` (see `bench_serve --metrics-out` or
-//! [`ft_obs::Exporter`]), so it can watch a process it isn't linked into.
+//! `metrics.jsonl` (see [`ft_obs::Exporter`]), so it can watch a process it
+//! isn't linked into.
 //!
 //! Each frame shows request throughput (delta of `serve.completed`),
 //! exact-bucket latency percentiles, the point-in-time queue depth gauge,
@@ -392,4 +392,23 @@ fn main() {
         Some(path) => run_follow(&path, ticks, interval),
         None => run_demo(ticks, interval),
     }
+}
+
+/// Follow mode renders what an exporter writes: a `metrics.jsonl` row of
+/// `ft_obs::json_row`, read back through `View::from_json_row`.
+#[test]
+fn follow_view_reads_an_exporter_row() {
+    let r = ft_obs::Registry::new();
+    r.counter_add("serve.completed", 12);
+    r.gauge_set("serve.queue_depth", 3);
+    for v in [10.0, 20.0, 30.0] {
+        r.observe("serve.latency_us", v);
+    }
+    let line = json_row(&r.snapshot(), 1_000).to_string();
+    let view = View::from_json_row(&serde_json::from_str(&line).unwrap());
+    assert_eq!(view.counter("serve.completed"), 12);
+    assert_eq!(view.gauge("serve.queue_depth"), 3);
+    let lat = view.hist("serve.latency_us");
+    assert_eq!(lat.count, 3);
+    assert!(lat.p50 > 0.0 && lat.p99 >= lat.p50 && lat.mean > 0.0);
 }

@@ -18,8 +18,9 @@
 //! wins, by roughly what factor, and where the crossovers sit. Absolute
 //! numbers come from the `ft-sim` A100 model, not silicon.
 //!
-//! Criterion benches (`benches/`) measure real wall-clock time of the CPU
-//! backend against the naive interpreter on reduced shapes.
+//! Wall-clock measurement of the CPU substrate lives in the repository
+//! benchmark (`benchmark/run.sh`); `bench_compare` gates its captures
+//! against `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 

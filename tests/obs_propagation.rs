@@ -2,14 +2,16 @@
 //! of k requests must yield exactly one attributed completion record per
 //! request (shared batch id, per-request queue wait), and a fusion
 //! fallback must attribute its legality failure to every affected
-//! request.
+//! request. The exporter must carry the runtime's and the executor's
+//! metrics to disk.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use ft_core::builders::stacked_rnn_program;
 use ft_core::{BufferId, FractalTensor};
-use ft_obs::{CompletionRecord, CompletionStatus, FuseDecision};
+use ft_obs::{CompletionRecord, CompletionStatus, Exporter, ExporterConfig, FuseDecision};
 use ft_serve::{Request, Runtime, ServeConfig};
 use ft_tensor::Tensor;
 
@@ -223,4 +225,48 @@ fn unbatched_runtime_emits_solo_records() {
     }
     assert_eq!(rt.completions_dropped(), 0);
     rt.shutdown();
+}
+
+/// An `ft_obs::Exporter` over a serving `Runtime` writes what a scrape
+/// needs: the serve latency histogram, the completion counter and the
+/// executor's worker time in `metrics.prom`, and rows in `metrics.jsonl`.
+#[test]
+fn exporter_writes_serve_and_exec_metrics() {
+    let dir = std::env::temp_dir().join(format!("ft-obs-exporter-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rt = Runtime::new(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let mut exporter = Exporter::spawn(
+        vec![rt.metrics()],
+        true,
+        ExporterConfig {
+            interval: Duration::from_millis(50),
+            jsonl_path: Some(dir.join("metrics.jsonl")),
+            prom_path: Some(dir.join("metrics.prom")),
+        },
+    );
+    let (n, d, l, h) = SHAPE;
+    let program = stacked_rnn_program(n, d, l, h);
+    let ws = shared_weights(7);
+    for seed in 0..4 {
+        rt.run(&program, inputs(seed, &ws)).unwrap();
+    }
+    // Stopping flushes once more, after the last request.
+    exporter.stop();
+    let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
+    for name in [
+        "serve_latency_us_bucket",
+        "serve_completed",
+        "exec_worker_busy_ns",
+    ] {
+        assert!(
+            prom.lines().any(|line| line.starts_with(name)),
+            "{name} missing from metrics.prom"
+        );
+    }
+    let jsonl = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
+    assert!(!jsonl.trim().is_empty(), "metrics.jsonl has no rows");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,11 +15,13 @@
 //!   strength.
 
 use std::collections::HashMap;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use ft_backend::{execute_reference, ExecError};
 use ft_core::builders::stacked_rnn_program;
 use ft_core::{BufferId, FractalTensor, Program};
+use ft_etdg::RegionRead;
 use ft_passes::compile;
 use ft_serve::{FaultPlan, Request, Runtime, ServeConfig, ServeError};
 use ft_tensor::Tensor;
@@ -357,4 +359,134 @@ fn injected_pool_panic_degrades_one_request_not_the_runtime() {
     }
     let out = rt.run(&p, inputs.clone()).unwrap();
     assert_bitwise_equal(&out, &reference(&p, &inputs), "post-fault request");
+}
+
+/// All four failure domains at once, under load. Four seeded clients share
+/// one runtime while one request in ten carries a fault (a worker panic, a
+/// NaN input or a corrupted read), the scheduler is killed mid-run and a
+/// poison plan trips its breaker; then a wedged launch hits the watchdog.
+/// Every admitted ticket resolves, and the pool ends at full width.
+#[test]
+fn chaos_under_load_resolves_every_ticket_and_restores_the_pool() {
+    let (n, d, l, h) = (1usize, 2, 16, 8);
+    let (clients, per_client) = (4usize, 20usize);
+    let rt = Arc::new(Runtime::new(ServeConfig {
+        threads: 2,
+        max_batch: 8,
+        guard: Some(true),
+        fallback: Some(false),
+        quarantine_threshold: 4,
+        launch_timeout: Some(Duration::from_millis(100)),
+        ..ServeConfig::default()
+    }));
+    let p = Arc::new(stacked_rnn_program(n, d, l, h));
+    let ws = FractalTensor::from_flat(&Tensor::randn(&[d, h, h], 8).mul_scalar(0.2), 1).unwrap();
+    let with_ws = move |mut m: HashMap<BufferId, FractalTensor>| {
+        m.insert(BufferId(1), ws.clone());
+        m
+    };
+    let compiled = compile(&p).unwrap();
+    // The first read of group 0 that reads a buffer: fills cannot be
+    // corrupted.
+    let (member, read) = compiled.groups[0]
+        .members
+        .iter()
+        .enumerate()
+        .find_map(|(mi, &m)| {
+            let reads = &compiled.etdg.block(m).reads;
+            let ri = reads
+                .iter()
+                .position(|r| matches!(r, RegionRead::Buffer { .. }))?;
+            Some((mi, ri))
+        })
+        .unwrap();
+    rt.run(&p, with_ws(rnn_inputs(n, d, l, h, 1))).unwrap();
+
+    // Each thread reports how many of its tickets resolved; a bounded wait
+    // on the channel turns a stranded ticket into a failure, not a hang.
+    let (done, resolved) = mpsc::channel();
+    for c in 0..clients {
+        let (rt, p, with_ws, done) = (
+            Arc::clone(&rt),
+            Arc::clone(&p),
+            with_ws.clone(),
+            done.clone(),
+        );
+        std::thread::spawn(move || {
+            for r in 0..per_client {
+                let i = c * per_client + r;
+                let seed = i as u64 + 100;
+                let inputs = match (i % 10 == 1, i / 10 % 3) {
+                    (false, _) => with_ws(rnn_inputs(n, d, l, h, seed)),
+                    (true, 0) => {
+                        rt.inject_pool_fault(1, 1);
+                        with_ws(rnn_inputs(n, d, l, h, seed))
+                    }
+                    (true, 1) => with_ws(poisoned_inputs(n, d, l, h, seed)),
+                    (true, _) => {
+                        rt.inject_exec_fault(FaultPlan::new().corrupt_read(0, member, read, 7));
+                        with_ws(rnn_inputs(n, d, l, h, seed))
+                    }
+                };
+                if c == 0 && r == per_client / 2 {
+                    rt.kill_scheduler();
+                }
+                // Ok or a typed error: either way the ticket resolved.
+                let _ = rt
+                    .submit_wait(Request::new(Arc::clone(&p), inputs))
+                    .unwrap()
+                    .wait();
+                done.send(1).unwrap();
+            }
+        });
+    }
+    // A poison plan (another signature): its consecutive guard failures
+    // trip its own breaker without starving the main plan.
+    {
+        let (rt, done) = (Arc::clone(&rt), done.clone());
+        std::thread::spawn(move || {
+            let poison = stacked_rnn_program(1, 2, 8, 4);
+            for seed in 0..7 {
+                let _ = rt.run(&poison, poisoned_inputs(1, 2, 8, 4, 500 + seed));
+                done.send(1).unwrap();
+            }
+        });
+    }
+    let expected = clients * per_client + 7;
+    for k in 0..expected {
+        resolved
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{} tickets hung", expected - k));
+    }
+
+    // The wedge runs on a plan of its own, whose breaker the storm cannot
+    // have opened. A first request consumes any one-shot fault the storm
+    // left armed; the second launch is wedged past the watchdog.
+    let q = stacked_rnn_program(2, 3, 5, 4);
+    let _ = rt.run(&q, rnn_inputs(2, 3, 5, 4, 9_000));
+    let lo = compile(&q).unwrap().groups[0]
+        .reordering
+        .wavefront_range()
+        .0;
+    rt.inject_exec_fault(FaultPlan::new().stall_at(0, lo, 600));
+    assert!(
+        matches!(
+            rt.run(&q, rnn_inputs(2, 3, 5, 4, 9_001)),
+            Err(ServeError::Exec(ExecError::Stalled { .. }))
+        ),
+        "the wedged launch must fail as a typed stall"
+    );
+    let inputs = rnn_inputs(2, 3, 5, 4, 9_002);
+    let out = rt.run(&q, inputs.clone()).unwrap();
+    assert_bitwise_equal(&out, &reference(&q, &inputs), "post-chaos request");
+
+    let stats = rt.stats();
+    assert!(
+        stats.scheduler_restarts >= 1,
+        "scheduler kill not exercised"
+    );
+    assert!(stats.quarantine_trips >= 1, "quarantine never tripped");
+    assert!(stats.stalled >= 1, "wedged launch not detected");
+    assert!(stats.pool_replacements >= 1, "poisoned pool not replaced");
+    assert_eq!(stats.pool_workers, 2, "pool not restored to full width");
 }

@@ -212,3 +212,84 @@ fn every_workload_serves_through_its_family() {
         assert_eq!(stats.batch_fallbacks, 0, "{name}");
     }
 }
+
+/// A fixed plan served through `Runtime` runs allocation-free once warm:
+/// four concurrent clients never grow the executor's arena again, and no
+/// extern leaf is ever cloned.
+#[test]
+fn fixed_plan_serves_without_arena_growth_after_warmup() {
+    let (n, d, l, h) = (1usize, 2, 16, 8);
+    let rt = Runtime::new(ServeConfig {
+        threads: 2,
+        batching: false,
+        ..ServeConfig::default()
+    });
+    let program = Arc::new(stacked_rnn_program(n, d, l, h));
+    rt.run(&program, rnn_inputs(n, d, l, h, 1)).unwrap();
+    let warm = rt.stats();
+    std::thread::scope(|s| {
+        for c in 0..4u64 {
+            let (rt, program) = (&rt, &program);
+            s.spawn(move || {
+                for r in 0..8u64 {
+                    let inputs = rnn_inputs(n, d, l, h, 100 * c + r);
+                    rt.run(program, inputs).unwrap();
+                }
+            });
+        }
+    });
+    let stats = rt.stats();
+    assert_eq!(stats.arena_acquires - warm.arena_acquires, 32);
+    assert_eq!(
+        stats.arena_grows, warm.arena_grows,
+        "the arena grew after warm-up on a fixed plan"
+    );
+    assert_eq!(stats.leaf_clones, 0, "the runtime cloned an extern leaf");
+}
+
+/// Mixed-length traffic is served by one plan family: requests of six
+/// outer extents cost one compile, and queued requests of different
+/// lengths are fused into ragged batches.
+#[test]
+fn mixed_length_traffic_compiles_once_and_fuses_ragged() {
+    let (d, l, h) = (1usize, 16, 4);
+    let rt = Runtime::new(ServeConfig {
+        threads: 2,
+        max_batch: 16,
+        ..ServeConfig::default()
+    });
+    let ws = FractalTensor::from_flat(&Tensor::randn(&[d, h, h], 3).mul_scalar(0.2), 1).unwrap();
+    let request = |n: usize, seed: u64| {
+        let mut inputs = rnn_inputs(n, d, l, h, seed);
+        inputs.insert(BufferId(1), ws.clone());
+        (stacked_rnn_program(n, d, l, h), inputs)
+    };
+    // A long request of the same family (a different length bucket) holds
+    // the scheduler while the mixed-length requests queue up behind it.
+    let (long, long_inputs) = request(64, 1);
+    let blocker = rt.submit_wait(Request::new(long, long_inputs)).unwrap();
+    let queued: Vec<_> = (0..12u64)
+        .map(|i| {
+            let (p, inputs) = request(3 + i as usize % 6, 10 + i);
+            let ticket = rt
+                .submit_wait(Request::new(p.clone(), inputs.clone()))
+                .unwrap();
+            (p, inputs, ticket)
+        })
+        .collect();
+    blocker.wait().unwrap();
+    for (p, inputs, ticket) in queued {
+        assert_eq!(ticket.wait().unwrap(), reference(&p, &inputs));
+    }
+    let stats = rt.stats();
+    assert_eq!(
+        (stats.cached_plans, stats.cache_misses),
+        (1, 1),
+        "one family must serve every length with one compile"
+    );
+    assert!(stats.batches >= 1, "no ragged batch was fused");
+    assert!(
+        stats.batched_requests > stats.batches,
+        "mean ragged batch must exceed 1"
+    );
+}

@@ -388,3 +388,62 @@ fn concurrent_poly_instance_compiles_once_per_extent() {
     );
     assert_eq!(plan.cached_instances(), extents.len());
 }
+
+/// Sixteen concurrent decode sessions: their steps fuse into shared
+/// launches, no step copies session state after warm-up, and closing every
+/// session returns the pinned bytes to zero.
+#[test]
+fn sixteen_sessions_fuse_steps_without_state_copies() {
+    let (d, h) = (2usize, 16);
+    let rt = Runtime::new(ServeConfig {
+        threads: 2,
+        max_batch: 16,
+        ..ServeConfig::default()
+    });
+    let ws = rnn_weights(d, h, 80);
+    let ids: Vec<u64> = (0..16)
+        .map(|_| rt.open_session(rnn_session_spec(d, h)).unwrap())
+        .collect();
+    // One round submits a step of every session, then waits for all.
+    let round = |t: u64| {
+        let tickets: Vec<_> = ids
+            .iter()
+            .enumerate()
+            .map(|(c, &sid)| {
+                let mut inputs = HashMap::new();
+                let x = token(h, 1000 * c as u64 + t);
+                inputs.insert(BufferId(0), FractalTensor::from_tensors(vec![x]).unwrap());
+                inputs.insert(BufferId(1), ws.clone());
+                rt.decode_step(sid, inputs).unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+    };
+    round(0);
+    round(1);
+    let warm = rt.stats();
+    for t in 2..10 {
+        round(t);
+    }
+    let stats = rt.stats();
+    assert_eq!(stats.decode_steps, 16 * 10);
+    assert!(
+        stats.batches > warm.batches,
+        "continuous batching never fused concurrent decode steps"
+    );
+    assert_eq!(
+        stats.state_copies, warm.state_copies,
+        "a decode step deep-copied session state after warm-up"
+    );
+    assert!(stats.pinned_bytes > 0);
+    for sid in ids {
+        rt.close_session(sid).unwrap();
+    }
+    assert_eq!(
+        rt.stats().pinned_bytes,
+        0,
+        "closing every session left pinned bytes behind"
+    );
+}
