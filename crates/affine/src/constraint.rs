@@ -7,7 +7,7 @@
 //! This module implements exactly that: a [`ConstraintSet`] of affine
 //! inequalities, variable elimination, and per-loop bound extraction.
 
-use crate::{gcd, gcd_slice, AffineError, IntMat, Result};
+use crate::{gcd, gcd_slice, AffineError, IntBox, IntMat, Result};
 
 /// One affine inequality: `coeffs · x + constant >= 0`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -171,6 +171,86 @@ impl ConstraintSet {
             cur = cur.eliminate(v)?;
         }
         Ok(cur.constraints.iter().any(|c| c.constant < 0))
+    }
+
+    /// The set intersected with `hull`, as a box — `None` when some
+    /// constraint couples two or more variables (the set is then not a box
+    /// in general). Single-variable constraints tighten the hull's bounds
+    /// with integer rounding, so the box holds exactly the set's integer
+    /// points inside `hull`.
+    pub fn box_within(&self, hull: &IntBox) -> Option<IntBox> {
+        assert_eq!(hull.dims(), self.nvars, "hull arity mismatch");
+        let mut b = hull.clone();
+        for c in &self.constraints {
+            let mut vars = (0..self.nvars).filter(|&v| c.coeffs[v] != 0);
+            match (vars.next(), vars.next()) {
+                (None, _) if c.constant < 0 => b.hi = b.lo.clone(),
+                (None, _) => {}
+                (Some(v), None) => {
+                    let a = c.coeffs[v];
+                    if a > 0 {
+                        // x_v >= ceil(-constant / a).
+                        b.lo[v] = b.lo[v].max(-c.constant.div_euclid(a));
+                    } else {
+                        // x_v <= floor(constant / -a).
+                        b.hi[v] = b.hi[v].min(c.constant.div_euclid(-a) + 1);
+                    }
+                }
+                (Some(_), Some(_)) => return None,
+            }
+        }
+        Some(b)
+    }
+
+    /// Inclusive bounds `(min, max)` of `row · x` over the set, by
+    /// Fourier–Motzkin projection onto a fresh variable `y = row · x`;
+    /// `None` when the projection is empty.
+    ///
+    /// The bounds enclose every integer point of the set, and are attained
+    /// when the set's rational extremes are integral (boxes, and the
+    /// unit-coefficient systems the compiler builds). An unbounded row is an
+    /// error.
+    pub fn row_bounds(&self, row: &[i64]) -> Result<Option<(i64, i64)>> {
+        let n = self.nvars;
+        if row.len() != n {
+            return Err(AffineError::DimMismatch(format!(
+                "row of {} over {n} vars",
+                row.len()
+            )));
+        }
+        let widen = |coeffs: &[i64], y: i64| -> Vec<i64> {
+            coeffs.iter().copied().chain(std::iter::once(y)).collect()
+        };
+        let mut set = ConstraintSet::unconstrained(n + 1);
+        for c in &self.constraints {
+            set.push(Constraint::new(widen(&c.coeffs, 0), c.constant));
+        }
+        let neg: Vec<i64> = row.iter().map(|&a| -a).collect();
+        set.push(Constraint::new(widen(row, -1), 0)); // row·x - y >= 0
+        set.push(Constraint::new(widen(&neg, 1), 0)); // y - row·x >= 0
+        for v in 0..n {
+            set = set.eliminate(v)?;
+        }
+        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+        let (mut has_lo, mut has_hi) = (false, false);
+        for c in &set.constraints {
+            let a = c.coeffs[n];
+            if a > 0 {
+                lo = lo.max(-c.constant.div_euclid(a));
+                has_lo = true;
+            } else if a < 0 {
+                hi = hi.min(c.constant.div_euclid(-a));
+                has_hi = true;
+            } else if c.constant < 0 {
+                return Ok(None);
+            }
+        }
+        if !(has_lo && has_hi) {
+            return Err(AffineError::Invalid(format!(
+                "row {row:?} is unbounded over the set"
+            )));
+        }
+        Ok((lo <= hi).then_some((lo, hi)))
     }
 
     /// Extracts loop bounds for every variable, outermost first: the bounds
@@ -490,8 +570,125 @@ mod tests {
         assert!(s.loop_bounds().is_err());
     }
 
+    #[test]
+    fn region_domains_are_boxes() {
+        // A parser region: the hull cut by single-variable thresholds
+        // (t1 >= 1, t2 <= 0), redundant cuts included.
+        let mut s = ConstraintSet::from_box(&[0, 0, 0], &[3, 4, 5]).unwrap();
+        s.push(Constraint::new(vec![0, 1, 0], -1));
+        s.push(Constraint::new(vec![0, 2, 0], -1)); // 2·t1 >= 1, i.e. t1 >= 1.
+        s.push(Constraint::new(vec![0, 0, -1], 0));
+        let b = s.box_within(&IntBox::hull(&[3, 4, 5])).unwrap();
+        assert_eq!(b, IntBox::new(vec![0, 1, 0], vec![3, 4, 1]));
+        let pts = s.enumerate().unwrap();
+        assert_eq!(pts.len(), 3 * 3);
+        assert!(pts.iter().all(|p| b.contains(p)));
+
+        // A coupling constraint is not a box.
+        s.push(Constraint::new(vec![-1, -1, 0], 3));
+        assert!(s.box_within(&IntBox::hull(&[3, 4, 5])).is_none());
+
+        // A constant contradiction is the empty box; the hull clips an
+        // unbounded set.
+        let mut e = ConstraintSet::unconstrained(1);
+        e.push(Constraint::new(vec![0], -1));
+        assert!(e.box_within(&IntBox::hull(&[4])).unwrap().is_empty());
+        let open = ConstraintSet::unconstrained(2);
+        assert_eq!(
+            open.box_within(&IntBox::hull(&[2, 3])),
+            Some(IntBox::hull(&[2, 3]))
+        );
+    }
+
+    #[test]
+    fn row_bounds_of_the_skewed_wavefront() {
+        // Table 5's transformed domain (w, d): the wavefront w spans
+        // [2, D+L-2] and w - d (the original l) spans [1, L-1].
+        let (big_d, big_l) = (3i64, 4i64);
+        let mut s = ConstraintSet::unconstrained(2);
+        s.push(Constraint::new(vec![0, 1], -1));
+        s.push(Constraint::new(vec![0, -1], big_d - 1));
+        s.push(Constraint::new(vec![1, -1], -1));
+        s.push(Constraint::new(vec![-1, 1], big_l - 1));
+        let pts = s.enumerate().unwrap();
+        for row in [[1, 0], [0, 1], [1, -1], [2, 1], [-1, 3]] {
+            let vals: Vec<i64> = pts.iter().map(|p| row[0] * p[0] + row[1] * p[1]).collect();
+            let want = (*vals.iter().min().unwrap(), *vals.iter().max().unwrap());
+            assert_eq!(s.row_bounds(&row).unwrap(), Some(want), "row {row:?}");
+        }
+        let mut empty = s.clone();
+        empty.push(Constraint::new(vec![1, 0], -100));
+        assert_eq!(empty.row_bounds(&[1, 0]).unwrap(), None);
+        let mut half = ConstraintSet::unconstrained(1);
+        half.push(Constraint::new(vec![1], 0));
+        assert!(half.row_bounds(&[1]).is_err(), "x >= 0 has no maximum");
+        assert!(s.row_bounds(&[1]).is_err(), "arity mismatch");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_box_within_matches_enumeration(
+            his in proptest::collection::vec(1i64..5, 1..4),
+            cut_var in 0usize..3,
+            cut_at in 0i64..5,
+            cut_up in 0i64..2,
+        ) {
+            let n = his.len();
+            let mut s = ConstraintSet::from_box(&vec![0; n], &his).unwrap();
+            let mut coeffs = vec![0i64; n];
+            let v = cut_var % n;
+            if cut_up == 1 {
+                coeffs[v] = 1;
+                s.push(Constraint::new(coeffs, -cut_at)); // t_v >= cut_at
+            } else {
+                coeffs[v] = -1;
+                s.push(Constraint::new(coeffs, cut_at)); // t_v <= cut_at
+            }
+            let hull: Vec<usize> = his.iter().map(|&h| h as usize).collect();
+            let b = s.box_within(&IntBox::hull(&hull)).unwrap();
+            let pts = s.enumerate().unwrap();
+            let count: i64 = if b.is_empty() {
+                0
+            } else {
+                b.lo.iter().zip(&b.hi).map(|(l, h)| h - l).product()
+            };
+            prop_assert_eq!(pts.len() as i64, count);
+            for p in &pts {
+                prop_assert!(b.contains(p));
+            }
+        }
+
+        #[test]
+        fn prop_row_bounds_enclose_and_attain(
+            his in proptest::collection::vec(1i64..5, 2..4),
+            row in proptest::collection::vec(-2i64..3, 3..4),
+            couple in 0i64..2,
+            cap in 0i64..7,
+        ) {
+            let n = his.len();
+            let mut s = ConstraintSet::from_box(&vec![0; n], &his).unwrap();
+            if couple == 1 {
+                // x_0 + x_1 <= cap: unit coefficients, integral vertices.
+                let mut coeffs = vec![0i64; n];
+                coeffs[0] = -1;
+                coeffs[1] = -1;
+                s.push(Constraint::new(coeffs, cap));
+            }
+            let row = &row[..n];
+            let vals: Vec<i64> = s
+                .enumerate()
+                .unwrap()
+                .iter()
+                .map(|p| row.iter().zip(p).map(|(a, b)| a * b).sum())
+                .collect();
+            let want = vals
+                .iter()
+                .min()
+                .map(|&lo| (lo, *vals.iter().max().unwrap()));
+            prop_assert_eq!(s.row_bounds(row).unwrap(), want);
+        }
+
         #[test]
         fn prop_elimination_preserves_feasibility(
             his in proptest::collection::vec(1i64..5, 2..4),

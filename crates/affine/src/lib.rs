@@ -17,7 +17,11 @@
 //!   inverses, null-space bases, and unimodular row completion,
 //! * [`AffineMap`] — `M·t + o` access maps with composition,
 //! * [`ConstraintSet`] / [`fourier_motzkin`] — linear inequality systems,
-//!   variable elimination, and per-loop bound extraction,
+//!   variable elimination, per-loop bound extraction, and the bounds of an
+//!   affine row over a set,
+//! * [`IntBox`] — axis-aligned integer boxes (the shape of every block
+//!   domain) with intersection, difference, and extreme corners, on which
+//!   the verifier decides map legality without enumerating points,
 //! * [`Lin`] — one-parameter linear sizes (`c0 + c1·L`) with the
 //!   all-extents domination order used by the shape-polymorphic memory
 //!   planner,
@@ -29,12 +33,14 @@
 #![forbid(unsafe_code)]
 
 mod constraint;
+mod ibox;
 mod lin;
 mod map;
 mod matrix;
 mod rational;
 
 pub use constraint::{fourier_motzkin, BoundExpr, Constraint, ConstraintSet, LoopBounds};
+pub use ibox::IntBox;
 pub use lin::Lin;
 pub use map::AffineMap;
 pub use matrix::IntMat;

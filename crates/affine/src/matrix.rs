@@ -249,6 +249,58 @@ impl IntMat {
         Ok(inv)
     }
 
+    /// The integer solution of `A·x = b` for a matrix of full column rank
+    /// (an injective access map): `Ok(None)` when the system is
+    /// inconsistent or its unique solution is fractional, so no integer
+    /// `x` exists. Errors with [`AffineError::Singular`] when the columns
+    /// are dependent and the solution would not be unique.
+    pub fn solve_unique(&self, b: &[i64]) -> Result<Option<Vec<i64>>> {
+        if b.len() != self.rows {
+            return Err(AffineError::DimMismatch(format!(
+                "rhs of {} entries for {} rows",
+                b.len(),
+                self.rows
+            )));
+        }
+        let (m, n) = (self.rows, self.cols);
+        // Gauss-Jordan over rationals on [A | b]; full column rank puts a
+        // pivot on the diagonal of every column.
+        let mut a: Vec<Vec<Rational>> = (0..m)
+            .map(|r| {
+                self.row(r)
+                    .iter()
+                    .chain(std::iter::once(&b[r]))
+                    .map(|&x| Rational::from_int(x))
+                    .collect()
+            })
+            .collect();
+        for col in 0..n {
+            let pivot = (col..m)
+                .find(|&r| !a[r][col].is_zero())
+                .ok_or(AffineError::Singular)?;
+            a.swap(col, pivot);
+            let p = a[col][col];
+            for x in a[col].iter_mut() {
+                *x = x.div(&p)?;
+            }
+            for r in 0..m {
+                if r != col && !a[r][col].is_zero() {
+                    let f = a[r][col];
+                    let pivot_row = a[col].clone();
+                    for (x, p) in a[r].iter_mut().zip(&pivot_row) {
+                        *x = x.sub(&f.mul(p)?)?;
+                    }
+                }
+            }
+        }
+        // Rows below the pivots read `0 = b'`: any nonzero b' is a
+        // contradiction.
+        if a[n..].iter().any(|row| !row[n].is_zero()) {
+            return Ok(None);
+        }
+        Ok(a[..n].iter().map(|row| row[n].to_int()).collect())
+    }
+
     /// Rank over the rationals.
     pub fn rank(&self) -> usize {
         let (reduced, pivots) = self.row_reduce();
@@ -527,8 +579,59 @@ mod tests {
         assert_eq!(IntMat::zeros(2, 3).rank(), 0);
     }
 
+    #[test]
+    fn solve_unique_reads_off_access_distances() {
+        // The running example's carried read ysss[i][j][k-1] against its
+        // identity write: W·δ = o_w - o_r gives δ = (0, 0, 1).
+        let w = IntMat::identity(3);
+        assert_eq!(w.solve_unique(&[0, 0, 1]).unwrap(), Some(vec![0, 0, 1]));
+        // A tall injective map: rows beyond the rank must agree.
+        let tall = IntMat::from_rows(&[vec![1, 0], vec![0, 1], vec![1, 1]]).unwrap();
+        assert_eq!(tall.solve_unique(&[2, 3, 5]).unwrap(), Some(vec![2, 3]));
+        assert_eq!(tall.solve_unique(&[2, 3, 4]).unwrap(), None, "inconsistent");
+        // A fractional solution has no integer point.
+        let two = IntMat::from_rows(&[vec![2]]).unwrap();
+        assert_eq!(two.solve_unique(&[3]).unwrap(), None);
+        // Dependent columns: not unique.
+        let proj = IntMat::from_rows(&[vec![1, 0, 0]]).unwrap();
+        assert_eq!(proj.solve_unique(&[1]), Err(AffineError::Singular));
+        assert!(w.solve_unique(&[1]).is_err(), "arity mismatch");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_solve_unique_matches_enumeration(
+            entries in proptest::collection::vec(-2i64..3, 6..7),
+            b in proptest::collection::vec(-4i64..5, 3..4),
+        ) {
+            // A 3x2 system. With independent columns some 2x2 minor is
+            // invertible (|det| >= 1, adjugate entries <= 2, |b| <= 4), so
+            // every solution lies in [-16, 16]^2.
+            let a = IntMat::from_rows(&[
+                entries[0..2].to_vec(),
+                entries[2..4].to_vec(),
+                entries[4..6].to_vec(),
+            ])
+            .unwrap();
+            let mut found = Vec::new();
+            for x0 in -16i64..=16 {
+                for x1 in -16i64..=16 {
+                    if a.matvec(&[x0, x1]).unwrap() == b {
+                        found.push(vec![x0, x1]);
+                    }
+                }
+            }
+            match a.solve_unique(&b) {
+                Ok(Some(x)) => prop_assert_eq!(found, vec![x]),
+                Ok(None) => prop_assert!(found.is_empty()),
+                Err(e) => {
+                    prop_assert_eq!(e, AffineError::Singular);
+                    prop_assert!(a.rank() < 2);
+                }
+            }
+        }
+
         #[test]
         fn prop_completion_is_unimodular(
             v in proptest::collection::vec(-6i64..7, 2..5)

@@ -18,20 +18,18 @@
 //! 2. **Dependence carrying** — row 0 of `T` has a strictly positive dot
 //!    product with every dependence distance vector of every member, and a
 //!    group with dependences has a sequential dimension at all.
-//! 3. **Access-map range** — every read/write map evaluates in-bounds over
-//!    the member's enumerated iteration domain, and the fused map
+//! 3. **Access-map range** — every read/write map stays in-bounds over the
+//!    member's whole iteration domain, and the fused map
 //!    `i = (M·T⁻¹)·j + o` agrees with the original map at every point
 //!    (`j = T·t`), i.e. the executor's partially-evaluated plan computes
 //!    the same indices the semantics demand.
 //! 4. **Wavefront order** — every value read from a group-internal buffer
 //!    was written at an earlier wavefront step, or at the same step by an
-//!    earlier member at the same point (the scratch-slot forwarding case);
-//!    with complete domain enumeration, reads of never-written indices are
-//!    also rejected.
+//!    earlier member at the same point (the scratch-slot forwarding case),
+//!    and no read touches an index no member writes.
 //!
 //! Blocks that belong to no launch group (pure `Map` nests executed
-//! through the interpreter path) still get invariant 3's range half: their
-//! original access maps are enumerated and bounds-checked the same way.
+//! through the interpreter path) still get invariant 3's range half.
 //!
 //! A fifth, graph-wide invariant covers the UDF rewriting passes (kernel
 //! fusion): every block's UDF must still validate structurally, infer
@@ -41,10 +39,16 @@
 //! [`VerifyError::UdfIllegal`] before the backend plans scratch from the
 //! same inference.
 //!
-//! Domains are enumerated exhaustively up to [`POINT_CAP`] points per
-//! member and sampled beyond that ([`VerifyReport::complete`] records
-//! which); order violations are always detectable on the sampled subset,
-//! unwritten-read detection needs the complete enumeration.
+//! Invariants 3 and 4 are decided once per access map, not once per point:
+//! block domains are boxes and maps are affine, so range is two corners per
+//! map row, fused-map agreement is the identity `fused·T = M`, and order and
+//! coverage follow from solving each read against its writers' maps and
+//! subtracting the shifted writer boxes from the read box. An access those
+//! rules cannot decide (a non-box domain, writers with other matrices or
+//! overlapping images) falls back to a per-point sweep for that access
+//! alone: exhaustive up to [`POINT_CAP`] points per member, strided-sampled
+//! beyond. [`VerifyReport::points`] counts the fallback's points and
+//! [`VerifyReport::complete`] is false only when a fallback had to sample.
 
 #![forbid(unsafe_code)]
 // VerifyError carries full diagnostic context (points, indices, buffer
@@ -52,15 +56,19 @@
 // large-Err cost never matters.
 #![allow(clippy::result_large_err)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use ft_affine::{AffineMap, IntMat};
-use ft_etdg::{sample_points, BlockId, BlockNode, BufId, RegionRead};
+use ft_etdg::{BlockId, RegionRead};
 use ft_passes::{compile, distance_vectors, CompiledProgram, ScheduledGroup};
 
-/// Per-member domain enumeration cap: domains up to this many points are
-/// checked exhaustively, larger ones are strided-sampled.
+mod maps;
+use maps::Mode;
+
+/// Per-member domain enumeration cap of the per-point fallback: domains up
+/// to this many points are checked exhaustively, larger ones are
+/// strided-sampled.
 pub const POINT_CAP: usize = 4096;
 
 /// Whether an access is a read or a write (diagnostic context).
@@ -191,7 +199,8 @@ pub enum VerifyError {
         read_step: i64,
     },
     /// A read of a group-internal buffer index that no member ever writes
-    /// (reported only under complete domain enumeration).
+    /// (a per-point fallback reports it only when every writer of the
+    /// buffer was enumerated in full).
     UnwrittenRead {
         /// Launch group index.
         group: usize,
@@ -241,10 +250,6 @@ pub enum VerifyError {
         detail: String,
     },
 }
-
-/// Pass A's write table: `(buffer id, data-space index)` mapped to the
-/// `(wavefront step, member position, original point)` that produces it.
-type WriterTable = HashMap<(usize, Vec<i64>), (i64, usize, Vec<i64>)>;
 
 /// Renders an optional group index for diagnostics.
 fn group_label(group: &Option<usize>) -> String {
@@ -372,14 +377,16 @@ pub struct VerifyReport {
     pub maps: usize,
     /// Dependence distance vectors checked against the hyperplane.
     pub distances: usize,
-    /// Iteration points enumerated across all members.
+    /// Iteration points the per-point fallback enumerated (0 when every
+    /// access was decided on its maps).
     pub points: usize,
     /// Block UDFs re-validated after the rewriting passes.
     pub udfs: usize,
     /// Legality-check wall time in microseconds.
     pub wall_us: f64,
-    /// True when every member domain was enumerated exhaustively (points
-    /// within [`POINT_CAP`]); false when sampling bounded the sweep.
+    /// True when every access was checked over its whole domain, by its
+    /// maps or by exhaustive enumeration; false when a per-point fallback
+    /// had to sample a domain larger than [`POINT_CAP`].
     pub complete: bool,
 }
 
@@ -643,13 +650,45 @@ pub fn verify_session_bindings(
 /// and, when spans are recorded, a `verify/legality_check` span, so
 /// `trace_report` and the exporters surface them.
 pub fn verify(compiled: &CompiledProgram) -> Result<VerifyReport, VerifyError> {
+    verify_with(compiled, Mode::Maps)
+}
+
+/// [`verify`] with every access checked by the per-point code (the fallback
+/// the map rules use for accesses they cannot decide): the reference the
+/// map rules are cross-validated against in tests.
+#[doc(hidden)]
+pub fn verify_enumerated(compiled: &CompiledProgram) -> Result<VerifyReport, VerifyError> {
+    verify_with(compiled, Mode::Points)
+}
+
+/// Checks read `read` (an index into the member's `reads`, which must be a
+/// buffer read) of launch group `group`'s member block against a
+/// caller-supplied fused map: range and fused-map agreement over the whole
+/// domain, by the map rules or, with `enumerate`, per point.
+///
+/// [`verify`] derives every fused map from `T` itself, exactly as the
+/// executor does, so a disagreeing fused map can only be presented here.
+#[doc(hidden)]
+pub fn check_fused_read(
+    compiled: &CompiledProgram,
+    group: usize,
+    member: BlockId,
+    read: usize,
+    fused: &AffineMap,
+    enumerate: bool,
+) -> Result<(), VerifyError> {
+    let mode = if enumerate { Mode::Points } else { Mode::Maps };
+    maps::check_fused_read(compiled, group, member, read, fused, mode)
+}
+
+fn verify_with(compiled: &CompiledProgram, mode: Mode) -> Result<VerifyReport, VerifyError> {
     let t0 = Instant::now();
     let mut span = ft_obs::span("verify", "legality_check");
     let mut report = VerifyReport {
         complete: true,
         ..VerifyReport::default()
     };
-    let outcome = check_all(compiled, &mut report);
+    let outcome = check_all(compiled, mode, &mut report);
     report.wall_us = t0.elapsed().as_secs_f64() * 1e6;
     if span.is_recording() {
         span.field("program", compiled.etdg.name.as_str());
@@ -676,14 +715,18 @@ pub fn verify(compiled: &CompiledProgram) -> Result<VerifyReport, VerifyError> {
     outcome.map(|()| report)
 }
 
-fn check_all(compiled: &CompiledProgram, report: &mut VerifyReport) -> Result<(), VerifyError> {
+fn check_all(
+    compiled: &CompiledProgram,
+    mode: Mode,
+    report: &mut VerifyReport,
+) -> Result<(), VerifyError> {
     check_layout(compiled)?;
     check_udfs(compiled, report)?;
     for (gi, group) in compiled.groups.iter().enumerate() {
-        check_group(compiled, gi, group, report)?;
+        check_group(compiled, gi, group, mode, report)?;
         report.groups += 1;
     }
-    check_ungrouped(compiled, report)
+    maps::check_ungrouped(compiled, mode, report)
 }
 
 /// Re-validates every block's UDF against the graph after the rewriting
@@ -839,73 +882,11 @@ fn check_layout(compiled: &CompiledProgram) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Range-checks the access maps of blocks that belong to no launch group.
-/// Such blocks execute through the interpreter path — no reordering, no
-/// fused maps, so invariants 1, 2, and 4 are vacuous — but a map that
-/// walks out of its buffer must still be rejected before execution.
-fn check_ungrouped(
-    compiled: &CompiledProgram,
-    report: &mut VerifyReport,
-) -> Result<(), VerifyError> {
-    let etdg = &compiled.etdg;
-    let grouped: HashSet<BlockId> = compiled
-        .groups
-        .iter()
-        .flat_map(|g| g.members.iter().copied())
-        .collect();
-    for (bi, block) in etdg.blocks.iter().enumerate() {
-        if grouped.contains(&BlockId(bi)) {
-            continue;
-        }
-        let total: usize = block.extents.iter().product();
-        if total > POINT_CAP {
-            report.complete = false;
-        }
-        let accesses: Vec<(BufId, &AffineMap, AccessKind)> = block
-            .reads
-            .iter()
-            .filter_map(|rd| match rd {
-                RegionRead::Buffer { buffer, map } => Some((*buffer, map, AccessKind::Read)),
-                _ => None,
-            })
-            .chain(
-                block
-                    .writes
-                    .iter()
-                    .map(|w| (w.buffer, &w.map, AccessKind::Write)),
-            )
-            .collect();
-        report.maps += accesses.len();
-        for t in sample_points(&block.domain, &block.extents, POINT_CAP) {
-            report.points += 1;
-            for (buffer, map, kind) in &accesses {
-                let idx = map.apply(&t).map_err(|e| VerifyError::Structural {
-                    group: None,
-                    block: block.name.clone(),
-                    detail: e.to_string(),
-                })?;
-                let buf = etdg.buffer(*buffer);
-                if !buf.in_domain(&idx) {
-                    return Err(VerifyError::MapOutOfRange {
-                        group: None,
-                        block: block.name.clone(),
-                        buffer: buf.name.clone(),
-                        kind: *kind,
-                        point: t.clone(),
-                        index: idx,
-                        dims: buf.dims.clone(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 fn check_group(
     compiled: &CompiledProgram,
     gi: usize,
     group: &ScheduledGroup,
+    mode: Mode,
     report: &mut VerifyReport,
 ) -> Result<(), VerifyError> {
     let etdg = &compiled.etdg;
@@ -976,178 +957,9 @@ fn check_group(
         }
     }
 
-    // 3 + 4. Per-point map range / fused-map consistency, and the
-    // wavefront write-before-read order over group-internal buffers.
-    let member_set: HashSet<_> = group.members.iter().copied().collect();
-    let group_owns = |b: BufId| -> bool {
-        let writers = etdg.writers_of(b);
-        !writers.is_empty() && writers.iter().all(|w| member_set.contains(w))
-    };
-    let step_of = |t: &[i64]| -> Result<i64, VerifyError> {
-        if r.sequential_dims == 0 {
-            return Ok(0);
-        }
-        let j = r.t.matvec(t).map_err(|e| structural(e.to_string()))?;
-        Ok(j[0])
-    };
-
-    // Pass A: validate writes and record (buffer, index) -> writer.
-    let mut complete = true;
-    let mut written: WriterTable = HashMap::new();
-    for (mi, &m) in group.members.iter().enumerate() {
-        let block = etdg.block(m);
-        let total: usize = block.extents.iter().product();
-        if total > POINT_CAP {
-            complete = false;
-        }
-        report.maps += block.writes.len();
-        let fused: Vec<AffineMap> = block
-            .writes
-            .iter()
-            .map(|w| r.transform_map(&w.map))
-            .collect::<Result<_, _>>()
-            .map_err(|e| structural(e.to_string()))?;
-        for t in sample_points(&block.domain, &block.extents, POINT_CAP) {
-            report.points += 1;
-            let step = step_of(&t)?;
-            for (w, fmap) in block.writes.iter().zip(fused.iter()) {
-                let idx = check_access(
-                    compiled,
-                    gi,
-                    block,
-                    w.buffer,
-                    &w.map,
-                    fmap,
-                    r,
-                    &t,
-                    AccessKind::Write,
-                )?;
-                written
-                    .entry((w.buffer.0, idx))
-                    .or_insert((step, mi, t.clone()));
-            }
-        }
-    }
-
-    // Pass B: validate reads and their ordering against the write table.
-    for (mi, &m) in group.members.iter().enumerate() {
-        let block = etdg.block(m);
-        report.maps += block
-            .reads
-            .iter()
-            .filter(|rd| matches!(rd, RegionRead::Buffer { .. }))
-            .count();
-        let fused: Vec<Option<AffineMap>> = block
-            .reads
-            .iter()
-            .map(|rd| rd.map().map(|m| r.transform_map(m)).transpose())
-            .collect::<Result<_, _>>()
-            .map_err(|e| structural(e.to_string()))?;
-        for t in sample_points(&block.domain, &block.extents, POINT_CAP) {
-            report.points += 1;
-            let read_step = step_of(&t)?;
-            for (rd, fmap) in block.reads.iter().zip(fused.iter()) {
-                let (RegionRead::Buffer { buffer, map }, Some(fmap)) = (rd, fmap) else {
-                    continue;
-                };
-                let idx = check_access(
-                    compiled,
-                    gi,
-                    block,
-                    *buffer,
-                    map,
-                    fmap,
-                    r,
-                    &t,
-                    AccessKind::Read,
-                )?;
-                if !group_owns(*buffer) {
-                    // Produced by an earlier group (or an input): ordered
-                    // by group execution order, not by this wavefront.
-                    continue;
-                }
-                match written.get(&(buffer.0, idx.clone())) {
-                    Some((write_step, w_mi, w_t)) => {
-                        let ordered = *write_step < read_step
-                            || (*write_step == read_step && w_t == &t && *w_mi < mi);
-                        if !ordered {
-                            return Err(VerifyError::WavefrontOrder {
-                                group: gi,
-                                block: block.name.clone(),
-                                buffer: etdg.buffer(*buffer).name.clone(),
-                                point: t.clone(),
-                                index: idx,
-                                write_step: *write_step,
-                                read_step,
-                            });
-                        }
-                    }
-                    None if complete => {
-                        return Err(VerifyError::UnwrittenRead {
-                            group: gi,
-                            block: block.name.clone(),
-                            buffer: etdg.buffer(*buffer).name.clone(),
-                            point: t.clone(),
-                            index: idx,
-                        });
-                    }
-                    None => {}
-                }
-            }
-        }
-    }
-    if !complete {
-        report.complete = false;
-    }
-    Ok(())
-}
-
-/// Evaluates one access at one point, checking range and fused-map
-/// consistency; returns the data-space index.
-#[allow(clippy::too_many_arguments)]
-fn check_access(
-    compiled: &CompiledProgram,
-    gi: usize,
-    block: &BlockNode,
-    buffer: BufId,
-    map: &AffineMap,
-    fused: &AffineMap,
-    r: &ft_passes::Reordering,
-    t: &[i64],
-    kind: AccessKind,
-) -> Result<Vec<i64>, VerifyError> {
-    let etdg = &compiled.etdg;
-    let structural = |detail: String| VerifyError::Structural {
-        group: Some(gi),
-        block: block.name.clone(),
-        detail,
-    };
-    let idx = map.apply(t).map_err(|e| structural(e.to_string()))?;
-    let buf = etdg.buffer(buffer);
-    if !buf.in_domain(&idx) {
-        return Err(VerifyError::MapOutOfRange {
-            group: Some(gi),
-            block: block.name.clone(),
-            buffer: buf.name.clone(),
-            kind,
-            point: t.to_vec(),
-            index: idx,
-            dims: buf.dims.clone(),
-        });
-    }
-    let j = r.t.matvec(t).map_err(|e| structural(e.to_string()))?;
-    let fidx = fused.apply(&j).map_err(|e| structural(e.to_string()))?;
-    if fidx != idx {
-        return Err(VerifyError::FusedMapMismatch {
-            group: gi,
-            block: block.name.clone(),
-            buffer: buf.name.clone(),
-            point: t.to_vec(),
-            original: idx,
-            fused: fidx,
-        });
-    }
-    Ok(idx)
+    // 3 + 4. Access-map range, fused-map agreement, wavefront order and
+    // unwritten reads, per access map.
+    maps::check_group(compiled, gi, group, mode, report)
 }
 
 #[cfg(test)]
@@ -1167,8 +979,36 @@ mod tests {
         assert_eq!(report.groups, 1);
         assert!(report.distances >= 1, "wavefront group must carry deps");
         assert!(report.maps > 0);
-        assert!(report.points > 0);
+        assert_eq!(report.points, 0, "every map is decided without points");
         assert!(report.complete);
+        let enumerated = verify_enumerated(&compiled_rnn()).unwrap();
+        assert!(enumerated.points > 0);
+        assert!(enumerated.complete);
+    }
+
+    #[test]
+    fn non_box_domains_fall_back_per_access() {
+        // A coupling constraint that cuts no point still makes the last
+        // member's domain a non-box set: its ranges are bounded by
+        // Fourier–Motzkin, but the order and coverage of every read of the
+        // buffer it writes fall back to points, and nothing else does.
+        let mut c = compiled_rnn();
+        let m = *c.groups[0].members.last().unwrap();
+        let block = &mut c.etdg.blocks[m.0];
+        let reach: i64 = block.extents.iter().map(|&e| e as i64).sum();
+        let n = block.extents.len();
+        block
+            .domain
+            .push(ft_affine::Constraint::new(vec![-1; n], reach));
+        let report = verify(&c).unwrap();
+        let enumerated = verify_enumerated(&c).unwrap();
+        assert!(report.points > 0);
+        assert!(report.points < enumerated.points);
+        assert!(report.complete);
+        assert_eq!(
+            (report.groups, report.maps, report.distances),
+            (enumerated.groups, enumerated.maps, enumerated.distances)
+        );
     }
 
     #[test]
@@ -1386,7 +1226,8 @@ mod tests {
         let report = verify(&c).unwrap();
         assert_eq!(report.groups, 0);
         assert!(report.maps > 0, "ungrouped maps must still be counted");
-        assert!(report.points > 0);
+        assert_eq!(report.points, 0);
+        assert!(verify_enumerated(&c).unwrap().points > 0);
 
         // And a corrupted map in an ungrouped block is rejected with the
         // group-free diagnostic.
