@@ -299,6 +299,7 @@ struct ArenaPool {
     grows: AtomicU64,
     leaf_borrows: AtomicU64,
     leaf_clones: AtomicU64,
+    output_clones: AtomicU64,
 }
 
 impl ArenaPool {
@@ -396,10 +397,16 @@ pub struct ArenaStats {
     pub grows: u64,
     /// Leaf reads served as borrowed slices (arena, extern, or forwarded).
     pub leaf_borrows: u64,
-    /// Leaf reads that fell back to cloning a tensor. Always zero on the
-    /// arena path — the counter exists so tests and the serving stats can
-    /// assert it stays that way.
+    /// Extern input leaves copied instead of borrowed, because the leaf
+    /// was a strided view rather than a window of a contiguous buffer.
+    /// Zero for inputs built from contiguous tensors — the counter exists
+    /// so tests and the serving stats can assert it stays that way.
     pub leaf_clones: u64,
+    /// Output trees cloned so several parts of one launch
+    /// ([`Executor::run_parts`]) each hold a shared output: `k − 1` per
+    /// shared output of a `k`-part launch, so zero on every one-part run,
+    /// which moves its outputs.
+    pub output_clones: u64,
 }
 
 /// Builder-style executor configuration.
@@ -546,6 +553,7 @@ impl Executor {
             grows: self.arena.grows.load(Ordering::Relaxed),
             leaf_borrows: self.arena.leaf_borrows.load(Ordering::Relaxed),
             leaf_clones: self.arena.leaf_clones.load(Ordering::Relaxed),
+            output_clones: self.arena.output_clones.load(Ordering::Relaxed),
         }
     }
 
@@ -580,29 +588,8 @@ impl Executor {
         self.run_report(compiled, inputs).map(|o| o.outputs)
     }
 
-    /// [`run`](Self::run) with a serving batch id attached: every span this
-    /// launch emits (`launch_group`, `wavefront_step`, per-worker events)
-    /// carries the id, so a fused batch's execution is attributable back to
-    /// the requests riding in it.
-    pub fn run_tagged(
-        &self,
-        compiled: &CompiledProgram,
-        inputs: &HashMap<BufferId, FractalTensor>,
-        batch: Option<u64>,
-    ) -> Result<HashMap<BufferId, FractalTensor>, ExecError> {
-        self.run_report_tagged(compiled, inputs, batch)
-            .map(|o| o.outputs)
-    }
-
-    /// Runs a shape-polymorphic plan family at outer extent `extent`.
-    ///
-    /// This is the dispatch-time half of symbolic plans: the family's
-    /// stride/size formulas are evaluated at `extent` (memoized per
-    /// extent inside the family — the lifetime analysis and first-fit
-    /// never re-run), the arena is sized from the evaluated plan, and the
-    /// instance executes exactly like an exact-shape compile. A family
-    /// that fails to instantiate reports [`ExecError::Runtime`] — the
-    /// plan is at fault, not the inputs.
+    /// Runs a shape-polymorphic plan family at outer extent `extent`: the
+    /// one-part case of [`run_parts`](Self::run_parts).
     pub fn run_poly(
         &self,
         family: &ft_passes::PolyPlan,
@@ -610,10 +597,48 @@ impl Executor {
         inputs: &HashMap<BufferId, FractalTensor>,
         batch: Option<u64>,
     ) -> Result<HashMap<BufferId, FractalTensor>, ExecError> {
+        let mut outputs = self.run_parts(family, &[(extent, inputs)], batch)?;
+        outputs.pop().ok_or_else(no_outputs)
+    }
+
+    /// Runs one launch of a shape-polymorphic plan family over several
+    /// **parts** — `(outer extent, inputs)` per member of a fused batch —
+    /// returning each part's outputs, in part order.
+    ///
+    /// The family's stride/size formulas are evaluated at the summed
+    /// extent (memoized per extent inside the family — the lifetime
+    /// analysis and first-fit never re-run) and the instance executes
+    /// exactly like an exact-shape compile. The parts are read in place:
+    /// a batched input (`family.info().batched`) is the concatenation of
+    /// the parts' trees along the outer axis, addressed leaf by leaf where
+    /// each part holds it; any other input comes from the first part.
+    /// Each part's batched inputs must have dims `[extent, inner…]`, else
+    /// the launch fails with [`ExecError::Input`] before anything runs. A
+    /// batched output hands each part its own rows; a shared one is
+    /// cloned for every part but the last, which takes it.
+    ///
+    /// A family that fails to instantiate reports [`ExecError::Runtime`]
+    /// — the plan is at fault, not the inputs. [`fallback`](Self::fallback)
+    /// repairs a one-part launch only: a failed launch of several parts
+    /// returns its error, and the caller re-runs the members one by one.
+    /// `batch` tags every span the launch emits (`launch_group`,
+    /// `wavefront_step`, per-worker events), so a fused batch's execution
+    /// is attributable back to the requests riding in it.
+    pub fn run_parts(
+        &self,
+        family: &ft_passes::PolyPlan,
+        parts: &[(usize, &HashMap<BufferId, FractalTensor>)],
+        batch: Option<u64>,
+    ) -> Result<Vec<HashMap<BufferId, FractalTensor>>, ExecError> {
+        if parts.is_empty() {
+            return Err(ExecError::Input("a launch needs at least one part".into()));
+        }
+        let extent = parts.iter().map(|&(n, _)| n).sum();
         let instance = family
             .instance(extent)
             .map_err(|e| ExecError::Runtime(format!("poly instantiation at L={extent}: {e}")))?;
-        self.run_tagged(&instance, inputs, batch)
+        self.launch(&instance, &family.info().batched, parts, batch)
+            .map(|(outputs, _)| outputs)
     }
 
     /// Runs the compiled program, returning outputs plus a degradation
@@ -623,33 +648,37 @@ impl Executor {
         compiled: &CompiledProgram,
         inputs: &HashMap<BufferId, FractalTensor>,
     ) -> Result<ExecOutcome, ExecError> {
-        self.run_report_tagged(compiled, inputs, None)
+        // No buffer is batched, so the part's extent is never read.
+        let (mut outputs, degraded) = self.launch(compiled, &[], &[(0, inputs)], None)?;
+        Ok(ExecOutcome {
+            outputs: outputs.pop().ok_or_else(no_outputs)?,
+            degraded,
+        })
     }
 
-    /// [`run_report`](Self::run_report) with a serving batch id attached
-    /// (see [`run_tagged`](Self::run_tagged)).
-    pub fn run_report_tagged(
+    /// One pooled launch over `parts`, with the fallback policy applied.
+    /// `batched[b]` marks buffer `b` as concatenated across the parts
+    /// (missing entries are shared).
+    fn launch(
         &self,
         compiled: &CompiledProgram,
-        inputs: &HashMap<BufferId, FractalTensor>,
+        batched: &[bool],
+        parts: &[(usize, &HashMap<BufferId, FractalTensor>)],
         batch: Option<u64>,
-    ) -> Result<ExecOutcome, ExecError> {
-        match self.run_pooled(compiled, inputs, batch) {
-            Ok(outputs) => Ok(ExecOutcome {
-                outputs,
-                degraded: None,
-            }),
+    ) -> Result<Launched, ExecError> {
+        let e = match self.run_pooled(compiled, batched, parts, batch) {
+            Ok(outputs) => return Ok((outputs, None)),
+            Err(e) => e,
+        };
+        match (&e, parts) {
             // Missing/malformed inputs fail identically everywhere;
             // degrading cannot repair them.
-            Err(e @ ExecError::Input(_)) => Err(e),
+            (ExecError::Input(_), _) => Err(e),
             // A stalled launch means the work itself is wedged: re-running
             // it single-threaded on the *calling* thread would recreate
             // the hang with nobody left to time it out.
-            Err(e @ ExecError::Stalled { .. }) => Err(e),
-            Err(e) => {
-                if !self.fallback {
-                    return Err(e);
-                }
+            (ExecError::Stalled { .. }, _) => Err(e),
+            (_, [(_, inputs)]) if self.fallback => {
                 exec_obs().fallbacks.inc();
                 let mut span = ft_obs::span("exec", "fallback");
                 if span.is_recording() {
@@ -660,15 +689,16 @@ impl Executor {
                     Some((g, s)) => (Some(g), Some(s)),
                     None => (None, None),
                 };
-                Ok(ExecOutcome {
-                    outputs,
-                    degraded: Some(Degradation {
+                Ok((
+                    vec![outputs],
+                    Some(Degradation {
                         group,
                         step,
                         error: e,
                     }),
-                })
+                ))
             }
+            _ => Err(e),
         }
     }
 
@@ -676,31 +706,35 @@ impl Executor {
     fn run_pooled(
         &self,
         compiled: &CompiledProgram,
-        inputs: &HashMap<BufferId, FractalTensor>,
+        batched: &[bool],
+        parts: &[(usize, &HashMap<BufferId, FractalTensor>)],
         batch: Option<u64>,
-    ) -> Result<HashMap<BufferId, FractalTensor>, ExecError> {
+    ) -> Result<Vec<HashMap<BufferId, FractalTensor>>, ExecError> {
         let etdg = &compiled.etdg;
         let memory = &compiled.memory;
+        // Callers pass at least one part.
+        let first = parts[0].1;
         // Extern inputs are borrowed leaf-by-leaf (`Arc` handles into the
-        // caller's storage) — never deep-copied into a fresh store.
+        // caller's storage) — never deep-copied into a fresh store. A
+        // batched input walks every part in order, which is the
+        // concatenation along the outer axis without building it.
         let mut externs: Vec<Option<ExternBuf>> = Vec::with_capacity(etdg.buffers.len());
         for (bi, buf) in etdg.buffers.iter().enumerate() {
             if buf.kind != BufferKind::Input {
                 externs.push(None);
                 continue;
             }
-            let ft = inputs
-                .get(&BufferId(bi))
-                .ok_or_else(|| ExecError::Input(format!("missing input '{}'", buf.name)))?;
-            if ft.prog_dims() != buf.dims {
-                return Err(ExecError::Input(format!(
-                    "input '{}' dims {:?} != declared {:?}",
-                    buf.name,
-                    ft.prog_dims(),
-                    buf.dims
-                )));
+            let mut ext = ExternBuf::default();
+            if batched.get(bi) == Some(&true) {
+                let mut dims = buf.dims.clone();
+                for &(extent, inputs) in parts {
+                    dims[0] = extent;
+                    ext.extend(inputs, bi, buf, &dims, &self.arena.leaf_clones)?;
+                }
+            } else {
+                ext.extend(first, bi, buf, &buf.dims, &self.arena.leaf_clones)?;
             }
-            externs.push(Some(extern_leaves(ft, buf)?));
+            externs.push(Some(ext));
         }
 
         // The job closure lives for the whole run; per-step state flows
@@ -758,7 +792,8 @@ impl Executor {
                 *w.lock() = Worker::default();
             }
             let arena = shared.arena.read();
-            let mut outputs = HashMap::new();
+            let mut outputs: Vec<HashMap<BufferId, FractalTensor>> =
+                parts.iter().map(|_| HashMap::new()).collect();
             for (bi, buf) in etdg.buffers.iter().enumerate() {
                 if buf.kind != BufferKind::Output {
                     continue;
@@ -776,15 +811,35 @@ impl Executor {
                         buf.name
                     )));
                 }
-                // One copy out of the arena; every leaf of the result is a
-                // view into it.
+                // One copy out of the arena per part; every leaf of a result
+                // is a view into its copy.
+                let data = &arena.data[offset..offset + layout.len];
                 let mut dims = layout.dims.clone();
                 dims.extend_from_slice(&layout.leaf_dims);
-                let flat =
-                    Tensor::from_vec(arena.data[offset..offset + layout.len].to_vec(), &dims)
-                        .map_err(|e| ExecError::Runtime(e.to_string()))?;
-                let ft = FractalTensor::from_flat(&flat, layout.dims.len()).map_err(core_err)?;
-                outputs.insert(BufferId(bi), ft);
+                let id = BufferId(bi);
+                if batched.get(bi) == Some(&true) {
+                    // A part's rows are one contiguous slice of the output.
+                    let row = layout.len / layout.dims[0];
+                    let mut start = 0;
+                    for (out, &(extent, _)) in outputs.iter_mut().zip(parts) {
+                        dims[0] = extent;
+                        let rows = &data[start * row..(start + extent) * row];
+                        out.insert(id, output_tree(rows, &dims, layout.dims.len())?);
+                        start += extent;
+                    }
+                } else {
+                    // Every part but the last gets a clone; the last (a
+                    // one-part run's only part) takes the tree itself.
+                    let ft = output_tree(data, &dims, layout.dims.len())?;
+                    let (rest, last) = outputs.split_at_mut(parts.len() - 1);
+                    for out in rest.iter_mut() {
+                        out.insert(id, ft.clone());
+                    }
+                    self.arena
+                        .output_clones
+                        .fetch_add(rest.len() as u64, Ordering::Relaxed);
+                    last[0].insert(id, ft);
+                }
             }
             Ok(outputs)
         })();
@@ -805,8 +860,30 @@ impl Executor {
     }
 }
 
+/// A launch's per-part outputs, plus the degradation report when fallback
+/// repaired it.
+type Launched = (Vec<HashMap<BufferId, FractalTensor>>, Option<Degradation>);
+
+/// A launch handed back fewer output maps than it had parts.
+fn no_outputs() -> ExecError {
+    ExecError::Runtime("a launch returned no output map for a part".into())
+}
+
+/// A copy of `data` as a FractalTensor of `prog_depth` programmable
+/// dimensions: `dims` are those followed by the leaf dimensions.
+fn output_tree(
+    data: &[f32],
+    dims: &[usize],
+    prog_depth: usize,
+) -> Result<FractalTensor, ExecError> {
+    let flat =
+        Tensor::from_vec(data.to_vec(), dims).map_err(|e| ExecError::Runtime(e.to_string()))?;
+    FractalTensor::from_flat(&flat, prog_depth).map_err(core_err)
+}
+
 /// One extern input's leaves in flat (row-major) leaf order, each a
 /// contiguous window of one of the caller's buffers.
+#[derive(Default)]
 struct ExternBuf {
     /// The distinct backing buffers, in first-use order.
     chunks: Vec<Arc<Vec<f32>>>,
@@ -814,42 +891,66 @@ struct ExternBuf {
     leaves: Vec<(usize, usize)>,
 }
 
-/// Borrows every leaf of an extern input, validating its shape against the
-/// declaration (the interpreter rejects mismatches up front; so must we,
-/// since the flat kernels would otherwise read out of step).
-fn extern_leaves(ft: &FractalTensor, buf: &ft_etdg::BufferNode) -> Result<ExternBuf, ExecError> {
-    let dims = &buf.dims;
-    let leaf_dims = buf.leaf_shape.dims();
-    let nleaves: usize = dims.iter().product();
-    let mut chunks: Vec<Arc<Vec<f32>>> = Vec::new();
-    let mut leaves = Vec::with_capacity(nleaves);
-    let mut idx = vec![0usize; dims.len()];
-    for _ in 0..nleaves {
-        let leaf = ft
-            .leaf_at(&idx)
-            .map_err(|e| ExecError::Input(e.to_string()))?;
-        if leaf.dims() != leaf_dims {
+impl ExternBuf {
+    /// Appends the leaves of input `bi` of `inputs`, validating its
+    /// programmable dims against `dims` and every leaf's shape against the
+    /// declaration (the interpreter rejects mismatches up front; so must
+    /// we, since the flat kernels would otherwise read out of step). Each
+    /// leaf that has to be copied is counted in `clones`.
+    fn extend(
+        &mut self,
+        inputs: &HashMap<BufferId, FractalTensor>,
+        bi: usize,
+        buf: &ft_etdg::BufferNode,
+        dims: &[usize],
+        clones: &AtomicU64,
+    ) -> Result<(), ExecError> {
+        let ft = inputs
+            .get(&BufferId(bi))
+            .ok_or_else(|| ExecError::Input(format!("missing input '{}'", buf.name)))?;
+        if ft.prog_dims() != dims {
             return Err(ExecError::Input(format!(
-                "input '{}' leaf shape mismatch",
-                buf.name
+                "input '{}' dims {:?} != declared {:?}",
+                buf.name,
+                ft.prog_dims(),
+                dims
             )));
         }
-        // Neighbouring leaves usually view one buffer (`from_flat`), which
-        // is what lets a run of them be addressed by a stride.
-        let (data, off) = leaf.shared_contiguous();
-        if !chunks.last().is_some_and(|c| Arc::ptr_eq(c, &data)) {
-            chunks.push(data);
-        }
-        leaves.push((chunks.len() - 1, off));
-        for k in (0..dims.len()).rev() {
-            idx[k] += 1;
-            if idx[k] < dims[k] {
-                break;
+        let leaf_dims = buf.leaf_shape.dims();
+        let nleaves: usize = dims.iter().product();
+        self.leaves.reserve(nleaves);
+        let mut idx = vec![0usize; dims.len()];
+        for _ in 0..nleaves {
+            let leaf = ft
+                .leaf_at(&idx)
+                .map_err(|e| ExecError::Input(e.to_string()))?;
+            if leaf.dims() != leaf_dims {
+                return Err(ExecError::Input(format!(
+                    "input '{}' leaf shape mismatch",
+                    buf.name
+                )));
             }
-            idx[k] = 0;
+            // Neighbouring leaves usually view one buffer (`from_flat`),
+            // which is what lets a run of them be addressed by a stride. A
+            // strided view is copied.
+            if !leaf.is_contiguous() {
+                clones.fetch_add(1, Ordering::Relaxed);
+            }
+            let (data, off) = leaf.shared_contiguous();
+            if !self.chunks.last().is_some_and(|c| Arc::ptr_eq(c, &data)) {
+                self.chunks.push(data);
+            }
+            self.leaves.push((self.chunks.len() - 1, off));
+            for k in (0..dims.len()).rev() {
+                idx[k] += 1;
+                if idx[k] < dims[k] {
+                    break;
+                }
+                idx[k] = 0;
+            }
         }
+        Ok(())
     }
-    Ok(ExternBuf { chunks, leaves })
 }
 
 /// Per-step inputs published to the pool.
@@ -887,7 +988,7 @@ struct ExecShared {
     workers: Vec<Mutex<Worker>>,
     /// Leaf reads served this run (flushed into the pool stats at the end).
     borrows: AtomicU64,
-    /// Serving batch id this launch runs under ([`Executor::run_tagged`]).
+    /// Serving batch id this launch runs under ([`Executor::run_parts`]).
     batch: Option<u64>,
     /// Guard mode: bounds-check accesses, NaN/Inf-scan outputs.
     guard: bool,

@@ -5,6 +5,9 @@
 //! bash benchmark/run.sh --seed 1 > change1.txt    # changed tree; >=3, + one --trace 1
 //! cargo run --release -p ft-bench --bin bench_compare -- --base base1.txt [..] \
 //!     --change change1.txt [..] [--meta commit=abc1234 ..]
+//! # or, with captures taken alternately (base1, change1, base2, ...):
+//! cargo run --release -p ft-bench --bin bench_compare -- \
+//!     --pairs base1.txt change1.txt base2.txt change2.txt [..] [--change traced.txt]
 //! ```
 //!
 //! `BENCHMARK.json`, read from the working directory, gives the workloads
@@ -12,9 +15,12 @@
 //! `W name value unit` and `W operations attempted A ok O failed F` lines.
 //! A side's value is the median over its captures. The gate exits 1 if a
 //! median is worse than its bound, a failed share rose, or a (workload,
-//! metric) pair is missing on either side. Its last line is the change
-//! side's medians (traced per-layer ones included) as one JSON object: the
-//! `BENCH_history.jsonl` line format. `--self-test` checks the gate itself.
+//! metric) pair is missing on either side. With `--pairs`, the files
+//! alternate base and change captures, each joins its side as above, and
+//! every row also reports the median per-pair change/base ratio and how
+//! many pairs the change won (ties count for neither). Its last line is
+//! the change side's medians (traced per-layer ones included) as one JSON
+//! object: the `BENCH_history.jsonl` line format. `--self-test` checks the gate itself.
 
 use std::collections::BTreeMap;
 
@@ -90,9 +96,7 @@ impl Side {
     }
 
     fn median(&self, key: &str) -> Option<f64> {
-        let mut v = self.values.get(key)?.0.clone();
-        v.sort_by(f64::total_cmp);
-        Some((v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0)
+        median(self.values.get(key)?.0.clone())
     }
 
     /// The history line: `meta`, the capture count and every median with
@@ -109,11 +113,39 @@ impl Side {
     }
 }
 
+/// The median change/base ratio of `key` over alternating (base, change)
+/// capture pairs, the pairs the change won, and the pairs that have it.
+fn paired(m: &Metric, key: &str, pairs: &[(Side, Side)]) -> Option<(f64, usize, usize)> {
+    let mut ratios = Vec::new();
+    let mut won = 0;
+    for (b, c) in pairs {
+        let (Some(b), Some(c)) = (b.median(key), c.median(key)) else {
+            continue;
+        };
+        won += usize::from(if m.higher_is_better { c > b } else { c < b });
+        ratios.push(if b != 0.0 { c / b } else { 1.0 });
+    }
+    let n = ratios.len();
+    Some((median(ratios)?, won, n))
+}
+
+/// The median of `v` (`None` when empty).
+fn median(mut v: Vec<f64>) -> Option<f64> {
+    if v.is_empty() {
+        return None;
+    }
+    v.sort_by(f64::total_cmp);
+    Some((v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0)
+}
+
 /// Compares the two sides; returns the report and the failures.
-fn gate(spec: &Spec, base: &Side, change: &Side) -> (String, Vec<String>) {
+fn gate(spec: &Spec, base: &Side, change: &Side, pairs: &[(Side, Side)]) -> (String, Vec<String>) {
     let mut report =
         "workload       metric                     base       change unit     delta  bound\n"
             .to_string();
+    if !pairs.is_empty() {
+        report = report.replace("bound\n", "bound   ratio  won\n");
+    }
     let mut failures = Vec::new();
     for w in &spec.workloads {
         for m in &spec.end_to_end {
@@ -128,12 +160,16 @@ fn gate(spec: &Spec, base: &Side, change: &Side) -> (String, Vec<String>) {
                 failures.push(format!("{key}: {b} -> {c} is out of bound"));
             }
             report += &format!(
-                "{w:14} {:18} {b:>12.4} {c:>12.4} {:5} {:>+7.1}% {:>5.0}%\n",
+                "{w:14} {:18} {b:>12.4} {c:>12.4} {:5} {:>+7.1}% {:>5.0}%",
                 m.name,
                 m.unit,
                 delta * 100.0,
                 m.bound * 100.0
             );
+            if let Some((ratio, won, n)) = paired(m, &key, pairs) {
+                report += &format!(" {ratio:>7.3} {won:>2}/{n}");
+            }
+            report += "\n";
         }
         let share = |s: &Side| s.ops.get(w).map(|&(a, f)| f as f64 / a.max(1) as f64);
         match (share(base), share(change)) {
@@ -180,7 +216,53 @@ fn self_test() -> bool {
     for (case, from, to, passes) in cases {
         let mut change = Side::default();
         change.add_capture(&base.replace(from, to));
-        let right = gate(&spec, &base_side, &change).1.is_empty() == passes;
+        let right = gate(&spec, &base_side, &change, &[]).1.is_empty() == passes;
+        println!("self-test {case:30} {}", ["WRONG", "ok"][right as usize]);
+        ok &= right;
+    }
+    // Three alternating pairs, each change capture scaling a/lat and b/tput
+    // by that pair's factor: (case, a/lat factors, b/tput factors, expected
+    // (a/lat won, b/tput won)). The median ratio is the middle factor.
+    let paired_cases = [
+        (
+            "paired win: 3/3 each",
+            [0.8, 0.9, 0.8],
+            [1.2, 1.1, 1.3],
+            (3, 3),
+        ),
+        (
+            "paired loss: 0/3 each",
+            [1.2, 1.1, 1.3],
+            [0.8, 0.9, 0.8],
+            (0, 0),
+        ),
+        (
+            "paired tie counts for neither",
+            [1.0, 0.9, 1.1],
+            [1.0, 1.0, 1.0],
+            (1, 0),
+        ),
+    ];
+    for (case, lat, tput, (lat_won, tput_won)) in paired_cases {
+        let pairs: Vec<(Side, Side)> = (0..3)
+            .map(|i| {
+                let (mut b, mut c) = (Side::default(), Side::default());
+                b.add_capture(base);
+                c.add_capture(
+                    &base
+                        .replace("a lat 1.0", &format!("a lat {}", lat[i]))
+                        .replace("b tput 50", &format!("b tput {}", 50.0 * tput[i])),
+                );
+                (b, c)
+            })
+            .collect();
+        let lat_m = &spec.end_to_end[0];
+        let tput_m = &spec.end_to_end[1];
+        let (lat_ratio, lw, n) = paired(lat_m, "a/lat", &pairs).expect("pairs have a/lat");
+        let (_, tw, _) = paired(tput_m, "b/tput", &pairs).expect("pairs have b/tput");
+        let mut sorted = lat;
+        sorted.sort_by(f64::total_cmp);
+        let right = (lw, tw, n) == (lat_won, tput_won, 3) && lat_ratio == sorted[1];
         println!("self-test {case:30} {}", ["WRONG", "ok"][right as usize]);
         ok &= right;
     }
@@ -188,7 +270,10 @@ fn self_test() -> bool {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench_compare --base F.. --change F.. [--meta K=V].. | --self-test");
+    eprintln!(
+        "usage: bench_compare [--base F..] [--change F..] [--pairs B C B C..] [--meta K=V].. \
+         | --self-test"
+    );
     std::process::exit(2);
 }
 
@@ -212,12 +297,24 @@ fn main() {
     let cpu = cpu.map_or("unknown", |c| c.1.trim());
     meta.insert("host".into(), json!({"nproc": nproc, "cpu": cpu}));
     let (mut base, mut change) = (Side::default(), Side::default());
+    let mut pairs: Vec<(Side, Side)> = Vec::new();
+    let mut pending: Option<Side> = None;
+    // `Some(true)`: base, `Some(false)`: change, `None` after `--pairs`
+    // (alternating), or before any side flag.
     let mut side = None;
+    let mut alternating = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--base" | "--change" => side = Some(arg == "--base"),
+            "--base" | "--change" => {
+                side = Some(arg == "--base");
+                alternating = false;
+            }
+            "--pairs" => {
+                side = None;
+                alternating = true;
+            }
             "--meta" => {
                 let kv = value();
                 let (k, v) = kv.split_once('=').unwrap_or_else(|| usage());
@@ -227,13 +324,32 @@ fn main() {
             path if !path.starts_with("--") => match side {
                 Some(true) => base.add_capture(&read(path)),
                 Some(false) => change.add_capture(&read(path)),
+                None if alternating => {
+                    let text = read(path);
+                    let mut one = Side::default();
+                    one.add_capture(&text);
+                    match pending.take() {
+                        None => {
+                            base.add_capture(&text);
+                            pending = Some(one);
+                        }
+                        Some(b) => {
+                            change.add_capture(&text);
+                            pairs.push((b, one));
+                        }
+                    }
+                }
                 None => usage(),
             },
             _ => usage(),
         }
     }
+    if pending.is_some() {
+        eprintln!("--pairs takes an even number of captures: base1 change1 base2 change2 ..");
+        usage();
+    }
     let spec = Spec::parse(&read("BENCHMARK.json")).expect("workloads and end_to_end metrics");
-    let (report, failures) = gate(&spec, &base, &change);
+    let (report, failures) = gate(&spec, &base, &change, &pairs);
     print!("{report}");
     failures.iter().for_each(|f| eprintln!("FAIL {f}"));
     println!("gate: {}", ["FAIL", "PASS"][failures.is_empty() as usize]);

@@ -1,7 +1,7 @@
 //! ETDG node and graph types, structural validation, and the depth/dimension
 //! metrics of §4.4.
 
-use ft_affine::{AffineMap, ConstraintSet};
+use ft_affine::{AffineMap, ConstraintSet, IntBox};
 use ft_core::{BufferKind, OpKind, Udf};
 use ft_tensor::Shape;
 
@@ -562,20 +562,33 @@ impl Etdg {
     }
 }
 
-/// Samples up to `limit` points of a domain (exhaustive when small).
+/// Samples up to `limit` points of a domain (exhaustive when small),
+/// striding over the domain's own bounding box — the hull when some
+/// constraint couples two variables — so a region confined to a face of
+/// the hull is sampled like any other.
 pub fn sample_points(domain: &ConstraintSet, extents: &[usize], limit: usize) -> Vec<Vec<i64>> {
-    let total: usize = extents.iter().product();
+    let hull = IntBox::hull(extents);
+    let bounds = domain.box_within(&hull).unwrap_or(hull);
+    if bounds.is_empty() {
+        return Vec::new();
+    }
+    let sizes: Vec<usize> = bounds
+        .lo
+        .iter()
+        .zip(&bounds.hi)
+        .map(|(l, h)| (h - l) as usize)
+        .collect();
+    let total: usize = sizes.iter().product();
     let mut pts = Vec::new();
     let stride = (total / limit.max(1)).max(1);
     let mut idx = 0usize;
     while idx < total && pts.len() < limit {
-        let mut t = Vec::with_capacity(extents.len());
+        let mut t = vec![0i64; sizes.len()];
         let mut rem = idx;
-        for &e in extents.iter().rev() {
-            t.push((rem % e) as i64);
-            rem /= e;
+        for d in (0..sizes.len()).rev() {
+            t[d] = bounds.lo[d] + (rem % sizes[d]) as i64;
+            rem /= sizes[d];
         }
-        t.reverse();
         if domain.contains(&t) {
             pts.push(t);
         }

@@ -102,7 +102,8 @@ pub struct CompletionRecord {
     pub fuse: FuseDecision,
     /// Wavefront execution time of the launch that served this request, µs.
     pub exec_us: f64,
-    /// Concat/split overhead billed to this request's batch, µs.
+    /// Batch assembly around the fused launch that served this request
+    /// (the parts are read in place, so only the shared-input check), µs.
     pub split_us: f64,
     /// End-to-end latency from submission to fulfillment, µs.
     pub total_us: f64,

@@ -45,9 +45,11 @@ impl Reordering {
     }
 
     /// Transforms an access map into the reordered space
-    /// (`i = (M·T⁻¹)·j + o`).
+    /// (`i = (M·T⁻¹)·j + o`), composing with the stored inverse, which
+    /// `ft-verify` checks against `T`.
     pub fn transform_map(&self, map: &AffineMap) -> Result<AffineMap> {
-        map.transform_by(&self.t).map_err(PassError::from)
+        let m = map.matrix().matmul(&self.t_inv)?;
+        Ok(AffineMap::new(m, map.offset().to_vec())?)
     }
 
     /// The wavefront range `[lo, hi)` of the sequential dimension (the

@@ -1,21 +1,17 @@
-//! Fused-batch assembly: concatenate along the outer axis, split back.
+//! Materialised outer-axis concatenation and splitting of FractalTensors.
 //!
 //! Dynamic batching (DESIGN.md §10) fuses K same-family requests into one
-//! launch by concatenating their inputs along the outermost programmable
-//! dimension, running a single widened wavefront, and splitting the outputs
-//! back per request. A fused batch *is* the program instantiated at a
-//! larger outer extent, so legality is exactly shape polymorphism over the
-//! outer axis and lives in [`ft_core::poly`]: `analyze_outer` classifies
-//! each buffer as **batched** (concatenate along the outer axis) or
-//! **shared** (one copy, e.g. weights), and the launch itself is the
-//! family's `instance(Σ extents)`.
+//! launch of the family's `instance(Σ extents)`, whose parts are read in
+//! place ([`ft_backend::Executor::run_parts`]): batched inputs are
+//! addressed where each request holds them and each member gets back its
+//! own output rows, so the runtime calls neither helper here. They build
+//! the concatenated tree and split it back explicitly, which is what the
+//! benchmark's replay of a fused launch (`serve.concat_us`,
+//! `serve.split_parts_us`) still times; that replay is their only user.
 //!
-//! Batches are *ragged*: member requests need not share an outer extent —
-//! an equal-extent batch is simply `parts = [B; k]`. [`concat_outer`] fuses
-//! parts of any lengths and [`split_outer_parts`] splits the fused outputs
-//! back using the per-part extents recorded at concat time. Programs that
-//! fail the analysis (outer scans/folds, strided outer access) have no
-//! batched buffer and are served per-request.
+//! Parts may differ in outer extent (ragged): [`concat_outer`] fuses parts
+//! of any lengths and [`split_outer_parts`] splits a fused tree back using
+//! the per-part extents recorded at concat time.
 
 use ft_core::{CoreError, FractalTensor};
 

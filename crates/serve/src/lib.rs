@@ -21,15 +21,16 @@
 //! * a scheduler thread that drains the queue, groups requests of one
 //!   family and length bucket (factor-of-4 extent classes), and — when the
 //!   family has a batched buffer, i.e. the program's outermost dimension is
-//!   a pure `map` (see [`batch`]) — executes the group as **one fused
-//!   launch**, always ragged: inputs of any lengths concatenated along the
-//!   outer dimension with per-part extents recorded at concat time, the
-//!   family instantiated at the summed extent and run as a single widened
-//!   wavefront on the pool, outputs split back offset-aware
-//!   ([`batch::split_outer_parts`]). Equal-extent members are the case
-//!   where all parts happen to be equal. Shape misalignment or a
-//!   fused-execution failure falls back to per-request execution; batching
-//!   is an optimization, never a correctness risk.
+//!   a pure `map` (see [`ft_core::poly`]) — executes the group as **one
+//!   fused launch**, always ragged, whose parts are read in place
+//!   ([`Executor::run_parts`]): the family is instantiated at the summed
+//!   extent and run as a single widened wavefront on the pool over every
+//!   member's inputs where the member holds them, and each member gets
+//!   back its own output rows; nothing is concatenated or split.
+//!   Equal-extent members are the case where all parts happen to be
+//!   equal. Shape misalignment or a fused-execution failure falls back to
+//!   per-request execution; batching is an optimization, never a
+//!   correctness risk.
 //!
 //! Every failure is a typed [`ServeError`] delivered through the request's
 //! [`Ticket`]; an expired or failed request never poisons the pool or the
@@ -1584,7 +1585,7 @@ fn process_group(inner: &Inner, mut exec: Executor, group: Vec<Pending>) {
     }
 
     // Fusion attempt. Only a family with a batched buffer has an outer
-    // axis to concatenate along; a one-extent family never attempts it.
+    // axis to fuse along; a one-extent family never attempts it.
     // The batch id is minted up front so every span and record of this
     // launch shares it, success or fallback.
     let mut fallback_reason: Option<String> = None;
@@ -1722,15 +1723,15 @@ struct FusedOutcome {
     outputs: Vec<HashMap<BufferId, FractalTensor>>,
     /// Wavefront execution of the widened program, µs.
     exec_us: f64,
-    /// Input concatenation + output splitting, µs.
+    /// Batch assembly around the launch (the shared-input check), µs.
     split_us: f64,
 }
 
 /// Why a fused attempt aborted — the caller's recovery differs.
 enum FusedFailure {
-    /// The batch could not even be assembled (shape mismatch, divergent
-    /// shared inputs, fused compile failure). Nothing executed; the
-    /// fallback is ordinary per-request serving, not fault isolation.
+    /// The batch could not even be assembled (shape mismatch, missing or
+    /// divergent shared inputs, fused compile failure). Nothing executed;
+    /// the fallback is ordinary per-request serving, not fault isolation.
     /// `ragged` marks the specific sub-case of a mismatched *outer*
     /// extent (inner dims fine) so the length-mix fallback counter stays
     /// distinct from genuine shape errors.
@@ -1741,24 +1742,15 @@ enum FusedFailure {
     Exec(ExecError),
 }
 
-impl FusedFailure {
-    fn precondition(reason: impl Into<String>) -> Self {
-        FusedFailure::Precondition {
-            reason: reason.into(),
-            ragged: false,
-        }
-    }
-}
-
 /// One fused launch for `live` (one family, byte-verified), always
 /// **ragged**: members may differ in outer extent, and equal extents are
-/// just `extents = [B; k]`. Batched inputs are concatenated along the
-/// outer axis with each member's extent recorded, the family is
-/// instantiated at the summed extent and run once, and outputs are split
-/// back offset-aware ([`batch::split_outer_parts`]) so every member gets
-/// exactly its own rows. Any precondition or execution failure aborts the
-/// whole attempt with a typed [`FusedFailure`]; the caller falls back to
-/// per-request execution.
+/// just `extents = [B; k]`. The family is instantiated at the summed
+/// extent and run once over the members' inputs as parts
+/// ([`Executor::run_parts`]): batched inputs are read where each request
+/// holds them and every member gets exactly its own output rows, so the
+/// batch is never concatenated or split. Any precondition or execution
+/// failure aborts the whole attempt with a typed [`FusedFailure`]; the
+/// caller falls back to per-request execution.
 fn run_fused(
     inner: &Inner,
     exec: &Executor,
@@ -1767,105 +1759,70 @@ fn run_fused(
     batch_id: u64,
 ) -> Result<FusedOutcome, FusedFailure> {
     let info = family.info();
-    let extents: Vec<usize> = live.iter().map(|p| p.family.outer_extent).collect();
-    let total: usize = extents.iter().sum();
-    let k = live.len();
-
-    let mut split_us = 0.0;
-    let concat_start = Instant::now();
-    // Inner dims are structural, so the group leader's declarations give
-    // the expected shape of every member's part once the outer extent is
-    // swapped for the member's own.
+    let check_start = Instant::now();
+    // Shared buffers (weights) must be identical across the batch: the
+    // launch reads them from the first member only.
     let base = &live[0].program;
-    let mut fused_inputs = HashMap::new();
     for (bi, decl) in base.buffers.iter().enumerate() {
-        if decl.kind != BufferKind::Input {
+        if decl.kind != BufferKind::Input || info.batched.get(bi) == Some(&true) {
             continue;
         }
         let id = BufferId(bi);
-        if info.batched.get(bi).copied().unwrap_or(false) {
-            let mut parts = Vec::with_capacity(k);
-            for (p, &extent) in live.iter().zip(&extents) {
-                let part = p.inputs.get(&id).ok_or_else(|| {
-                    FusedFailure::precondition(format!("missing input '{}'", decl.name))
-                })?;
-                // Each part must carry exactly its request's extent over
-                // the shared inner dims: the executor only sees the
-                // concatenated total, so a short part and a long part that
-                // happen to sum to it would pass validation and the split
-                // would hand requests slices of each other's results.
-                // Reject here so the per-request fallback returns each
-                // caller the same typed `ExecError::Input` the unbatched
-                // path would.
-                let got = part.prog_dims();
-                if !(got.len() == decl.dims.len()
-                    && got.first() == Some(&extent)
-                    && got.get(1..) == decl.dims.get(1..))
-                {
-                    let ragged = got.len() == decl.dims.len() && got.get(1..) == decl.dims.get(1..);
-                    return Err(FusedFailure::Precondition {
-                        reason: format!(
-                            "input '{}' dims {:?} != request extent {} over {:?}",
-                            decl.name,
-                            got,
-                            extent,
-                            decl.dims.get(1..).unwrap_or_default()
-                        ),
-                        ragged,
-                    });
-                }
-                parts.push(part);
-            }
-            let fused = batch::concat_outer(&parts)
-                .map_err(|e| FusedFailure::precondition(format!("concat '{}': {e}", decl.name)))?;
-            fused_inputs.insert(id, fused);
-        } else {
-            // Shared buffers (weights) must be identical across the batch.
-            let first = live[0].inputs.get(&id).ok_or_else(|| {
-                FusedFailure::precondition(format!("missing input '{}'", decl.name))
-            })?;
-            for p in &live[1..] {
-                if p.inputs.get(&id) != Some(first) {
-                    return Err(FusedFailure::precondition(format!(
-                        "shared input '{}' differs across batch",
-                        decl.name
-                    )));
-                }
-            }
-            fused_inputs.insert(id, first.clone());
+        let first = live[0].inputs.get(&id);
+        if live[1..].iter().any(|p| p.inputs.get(&id) != first) {
+            return Err(FusedFailure::Precondition {
+                reason: format!("shared input '{}' differs across batch", decl.name),
+                ragged: false,
+            });
         }
     }
-    split_us += concat_start.elapsed().as_secs_f64() * 1e6;
+    let parts: Vec<_> = live
+        .iter()
+        .map(|p| (p.family.outer_extent, &p.inputs))
+        .collect();
+    let split_us = check_start.elapsed().as_secs_f64() * 1e6;
 
     let exec_start = Instant::now();
-    let fused_out = exec
-        .run_poly(family, total, &fused_inputs, Some(batch_id))
-        .map_err(FusedFailure::Exec)?;
+    let outputs = exec
+        .run_parts(family, &parts, Some(batch_id))
+        .map_err(|e| match e {
+            // Each part must carry exactly its request's extent over the
+            // shared inner dims, or requests would get slices of each
+            // other's results. The executor checks that before anything
+            // runs, so the per-request fallback hands each caller the
+            // same typed `ExecError::Input` the unbatched path would.
+            ExecError::Input(reason) => FusedFailure::Precondition {
+                reason,
+                ragged: outer_extent_mismatch(live, &info.batched),
+            },
+            e => FusedFailure::Exec(e),
+        })?;
     let exec_us = exec_start.elapsed().as_secs_f64() * 1e6;
     inner.metrics.exec_us.record(exec_us);
     note_group_exec(inner, group_key(&live[0]), exec_us);
-
-    let split_start = Instant::now();
-    let mut per_request: Vec<HashMap<BufferId, FractalTensor>> =
-        (0..k).map(|_| HashMap::new()).collect();
-    for (id, ft) in fused_out {
-        if info.batched.get(id.0).copied().unwrap_or(false) {
-            let chunks = batch::split_outer_parts(&ft, &extents)
-                .map_err(|e| FusedFailure::precondition(format!("split output: {e}")))?;
-            for (m, chunk) in per_request.iter_mut().zip(chunks) {
-                m.insert(id, chunk);
-            }
-        } else {
-            for m in per_request.iter_mut() {
-                m.insert(id, ft.clone());
-            }
-        }
-    }
-    split_us += split_start.elapsed().as_secs_f64() * 1e6;
     Ok(FusedOutcome {
-        outputs: per_request,
+        outputs,
         exec_us,
         split_us,
+    })
+}
+
+/// Whether some member's batched input has the declared inner dims but an
+/// outer extent other than its request's: a length mix, not a shape error.
+fn outer_extent_mismatch(live: &[Pending], batched: &[bool]) -> bool {
+    let decls = &live[0].program.buffers;
+    live.iter().any(|p| {
+        decls.iter().enumerate().any(|(bi, decl)| {
+            let part = p.inputs.get(&BufferId(bi));
+            let Some(got) = part.filter(|_| batched.get(bi) == Some(&true)) else {
+                return false;
+            };
+            let got = got.prog_dims();
+            decl.kind == BufferKind::Input
+                && got.len() == decl.dims.len()
+                && got.first() != Some(&p.family.outer_extent)
+                && got.get(1..) == decl.dims.get(1..)
+        })
     })
 }
 

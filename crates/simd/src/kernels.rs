@@ -9,8 +9,6 @@
 use crate::epi::{apply_epi, leaf_operands, operand_count, MAX_EPI_OPERANDS};
 use crate::{scalar, EpiOp, Mode, Run, MR, NR};
 
-#[cfg(target_arch = "aarch64")]
-use crate::neon;
 #[cfg(target_arch = "x86_64")]
 use crate::x86;
 
@@ -184,7 +182,7 @@ pub fn relu_ip(mode: Mode, dst: &mut [f32]) {
 // ---------------------------------------------------------------------------
 
 macro_rules! transcendental_ip {
-    ($name:ident, $avx2:ident, $sse:ident, $neon:ident, $std:expr, $doc:literal) => {
+    ($name:ident, $avx2:ident, $sse:ident, $std:expr, $doc:literal) => {
         #[doc = $doc]
         #[doc = " Scalar mode applies the `std` definition bitwise; vector"]
         #[doc = " modes apply the documented polynomial (see crate docs)."]
@@ -194,8 +192,6 @@ macro_rules! transcendental_ip {
                 Mode::Avx2 if Mode::Avx2.supported() => unsafe { x86::$avx2(dst) },
                 #[cfg(target_arch = "x86_64")]
                 Mode::Sse if Mode::Sse.supported() => unsafe { x86::$sse(dst) },
-                #[cfg(target_arch = "aarch64")]
-                Mode::Neon if Mode::Neon.supported() => unsafe { neon::$neon(dst) },
                 _ => {
                     let f = $std;
                     for d in dst.iter_mut() {
@@ -207,19 +203,11 @@ macro_rules! transcendental_ip {
     };
 }
 
-transcendental_ip!(
-    exp_ip,
-    exp_ip_avx2,
-    exp_ip_sse,
-    exp_ip_neon,
-    f32::exp,
-    "In-place `exp`."
-);
+transcendental_ip!(exp_ip, exp_ip_avx2, exp_ip_sse, f32::exp, "In-place `exp`.");
 transcendental_ip!(
     sigmoid_ip,
     sigmoid_ip_avx2,
     sigmoid_ip_sse,
-    sigmoid_ip_neon,
     scalar::sigmoid_std,
     "In-place logistic sigmoid."
 );
@@ -227,7 +215,6 @@ transcendental_ip!(
     tanh_ip,
     tanh_ip_avx2,
     tanh_ip_sse,
-    tanh_ip_neon,
     f32::tanh,
     "In-place `tanh`."
 );
@@ -235,7 +222,6 @@ transcendental_ip!(
     silu_ip,
     silu_ip_avx2,
     silu_ip_sse,
-    silu_ip_neon,
     scalar::silu_std,
     "In-place SiLU (`x * sigmoid(x)`)."
 );
@@ -250,8 +236,6 @@ pub fn exp32(mode: Mode, x: f32) -> f32 {
         Mode::Sse => scalar::exp_nofma(x),
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 => scalar::exp_fma(x),
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon => scalar::exp_fma(x),
     }
 }
 
@@ -263,8 +247,6 @@ pub fn sigmoid32(mode: Mode, x: f32) -> f32 {
         Mode::Sse => scalar::sigmoid_nofma(x),
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 => scalar::sigmoid_fma(x),
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon => scalar::sigmoid_fma(x),
     }
 }
 
@@ -276,8 +258,6 @@ pub fn tanh32(mode: Mode, x: f32) -> f32 {
         Mode::Sse => scalar::tanh_nofma(x),
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 => scalar::tanh_fma(x),
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon => scalar::tanh_fma(x),
     }
 }
 
@@ -289,8 +269,6 @@ pub fn silu32(mode: Mode, x: f32) -> f32 {
         Mode::Sse => scalar::silu_nofma(x),
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 => scalar::silu_fma(x),
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon => scalar::silu_fma(x),
     }
 }
 
@@ -328,14 +306,12 @@ pub fn softmax_rows(mode: Mode, a: &[f32], m: usize, n: usize, out: &mut [f32]) 
 
 /// 4×8 register-tile microkernel: `acc += apᵀ · bp` over one k-block.
 /// Scalar/SSE modes accumulate with mul+add (bitwise == pre-SIMD code);
-/// AVX2/NEON fuse the multiply-add (single rounding), same k order.
+/// AVX2 fuses the multiply-add (single rounding), same k order.
 pub fn gemm_ukr(mode: Mode, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     debug_assert_eq!(ap.len() / MR, bp.len() / NR);
     match mode {
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 if Mode::Avx2.supported() => unsafe { x86::gemm_ukr_avx2(ap, bp, acc) },
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon if Mode::Neon.supported() => unsafe { neon::gemm_ukr_neon(ap, bp, acc) },
         _ => scalar::gemm_ukr(ap, bp, acc),
     }
 }
@@ -346,8 +322,6 @@ pub fn madd(mode: Mode, dst: &mut [f32], a: f32, x: &[f32]) {
     match mode {
         #[cfg(target_arch = "x86_64")]
         Mode::Avx2 if Mode::Avx2.supported() => unsafe { x86::madd_avx2(dst, a, x) },
-        #[cfg(target_arch = "aarch64")]
-        Mode::Neon if Mode::Neon.supported() => unsafe { neon::madd_neon(dst, a, x) },
         _ => scalar::madd(dst, a, x),
     }
 }

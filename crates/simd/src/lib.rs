@@ -12,17 +12,19 @@
 //!
 //! | `FT_SIMD` | backend |
 //! |-----------|---------|
-//! | unset / `auto` | best supported: AVX2+FMA → SSE4.1 → scalar (x86_64), NEON (aarch64) |
+//! | unset / `auto` | best supported: AVX2+FMA → SSE4.1 → scalar (x86_64); scalar elsewhere |
 //! | `scalar` | plain Rust loops, bit-identical to the pre-SIMD code |
 //! | `sse` | SSE4.1 128-bit transcendentals, no FMA |
 //! | `avx2` | AVX2 + FMA 256-bit kernels |
-//! | `neon` | NEON 128-bit kernels with FMA (aarch64 only) |
 //!
-//! An unsupported request falls back down the same ladder — kernels verify
-//! CPU capability before executing vector code, so a forged [`Mode`] can
-//! never fault. Every kernel takes the mode as an explicit argument: call
-//! sites hoist one [`mode()`] load per operation, and the parity suite can
-//! exercise every backend in one process without racing on a global.
+//! Vector kernels exist for x86_64 only: on any other target (aarch64
+//! included) the scalar loops, which the compiler autovectorises, are the
+//! native mode. An unsupported request falls back down the same ladder —
+//! kernels verify CPU capability before executing vector code, so a forged
+//! [`Mode`] can never fault. Every kernel takes the mode as an explicit
+//! argument: call sites hoist one [`mode()`] load per operation, and the
+//! parity suite can exercise every backend in one process without racing
+//! on a global.
 //!
 //! ## Numeric contract
 //!
@@ -32,7 +34,7 @@
 //!   are bitwise identical in *every* mode: IEEE-754 lane ops equal the
 //!   scalar ops element-for-element regardless of vector width.
 //! * **GEMM** preserves the k-accumulation order in every mode. SSE mode is
-//!   bitwise identical to scalar (mul+add, two roundings); AVX2/NEON fuse
+//!   bitwise identical to scalar (mul+add, two roundings); AVX2 fuses
 //!   the multiply-add into a single rounding per element, which is the only
 //!   arithmetic difference (documented FMA contraction, no reassociation).
 //! * **Transcendentals** (`exp`/`sigmoid`/`tanh`) use a degree-6 polynomial
@@ -76,8 +78,6 @@ mod blocks;
 mod epi;
 mod kernels;
 pub mod math;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 mod run;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -105,9 +105,6 @@ pub enum Mode {
     /// AVX2 + FMA 256-bit vectors (x86_64).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// NEON 128-bit vectors with FMA (aarch64).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 impl Mode {
@@ -118,11 +115,7 @@ impl Mode {
         {
             matches!(self, Mode::Avx2)
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            matches!(self, Mode::Neon)
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             false
         }
@@ -139,12 +132,10 @@ impl Mode {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
-            #[cfg(target_arch = "aarch64")]
-            Mode::Neon => std::arch::is_aarch64_feature_detected!("neon"),
         }
     }
 
-    /// Short lowercase name (`"scalar"`, `"sse"`, `"avx2"`, `"neon"`).
+    /// Short lowercase name (`"scalar"`, `"sse"`, `"avx2"`).
     pub fn name(self) -> &'static str {
         match self {
             Mode::Scalar => "scalar",
@@ -152,8 +143,6 @@ impl Mode {
             Mode::Sse => "sse",
             #[cfg(target_arch = "x86_64")]
             Mode::Avx2 => "avx2",
-            #[cfg(target_arch = "aarch64")]
-            Mode::Neon => "neon",
         }
     }
 
@@ -164,8 +153,6 @@ impl Mode {
             Mode::Sse => 2,
             #[cfg(target_arch = "x86_64")]
             Mode::Avx2 => 3,
-            #[cfg(target_arch = "aarch64")]
-            Mode::Neon => 4,
         }
     }
 
@@ -176,8 +163,6 @@ impl Mode {
             2 => Some(Mode::Sse),
             #[cfg(target_arch = "x86_64")]
             3 => Some(Mode::Avx2),
-            #[cfg(target_arch = "aarch64")]
-            4 => Some(Mode::Neon),
             _ => None,
         }
     }
@@ -197,12 +182,6 @@ fn detect() -> Mode {
             return Mode::Sse;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if Mode::Neon.supported() {
-            return Mode::Neon;
-        }
-    }
     Mode::Scalar
 }
 
@@ -214,8 +193,6 @@ fn resolve_from_env() -> Mode {
         "sse" => Mode::Sse,
         #[cfg(target_arch = "x86_64")]
         "avx2" => Mode::Avx2,
-        #[cfg(target_arch = "aarch64")]
-        "neon" => Mode::Neon,
         _ => detect(),
     };
     if m.supported() {

@@ -13,7 +13,7 @@
 //! * `tanh(x)    = sign(x) · (1 − 2 / (exp(2|x|) + 1))`
 //! * `silu(x)    = x · sigmoid(x)`
 //!
-//! FMA-class modes (AVX2, NEON) contract each polynomial multiply-add
+//! The FMA mode (AVX2) contracts each polynomial multiply-add
 //! into a single rounding; SSE evaluates the same sequence with separate
 //! multiply and add.
 //!

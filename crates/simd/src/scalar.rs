@@ -55,7 +55,7 @@ fn ldexp(y: f32, n: f32) -> f32 {
 }
 
 /// Polynomial `exp` with fused multiply-adds: the per-lane operation
-/// sequence of the AVX2/NEON backends. ≤ 4 ulp on `[-87.3, 88.0]`;
+/// sequence of the AVX2 backend. ≤ 4 ulp on `[-87.3, 88.0]`;
 /// saturates to `+inf` above [`poly::EXP_HI`] and to `exp(EXP_LO)`
 /// (≈ 1.2e-38) below [`poly::EXP_LO`]; NaN propagates.
 #[inline]

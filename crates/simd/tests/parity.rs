@@ -2,7 +2,7 @@
 //!
 //! * Exact ops (`add/sub/mul/div/max/scale/neg/relu`): **bitwise** equal
 //!   to the scalar fallback in every mode, at every length.
-//! * SSE GEMM: bitwise equal to scalar (mul+add, same order); AVX2/NEON
+//! * SSE GEMM: bitwise equal to scalar (mul+add, same order); AVX2
 //!   GEMM differs only by documented FMA contraction (single rounding).
 //! * Transcendentals: within the documented ulp bounds of the
 //!   `f64`-evaluated reference in every mode, and ragged-tail elements
@@ -26,12 +26,6 @@ fn modes() -> Vec<Mode> {
         }
         if Mode::Avx2.supported() {
             m.push(Mode::Avx2);
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if Mode::Neon.supported() {
-            m.push(Mode::Neon);
         }
     }
     m
@@ -311,7 +305,7 @@ proptest! {
     }
 }
 
-/// `gemm_ukr` across modes: SSE bitwise == scalar, AVX2/NEON within FMA
+/// `gemm_ukr` across modes: SSE bitwise == scalar, AVX2 within FMA
 /// distance — on a k span crossing the packed kernel's KC boundary.
 #[test]
 fn gemm_ukr_cross_mode() {

@@ -162,7 +162,15 @@ impl Tensor {
 
     /// True when the view covers its buffer contiguously in row-major order.
     pub fn is_contiguous(&self) -> bool {
-        self.strides == self.shape.row_major_strides()
+        // `row_major_strides`, compared without allocating: the executor
+        // asks this of every extern leaf on every run.
+        let mut expect = 1;
+        self.strides.len() == self.rank()
+            && self.dims().iter().zip(&self.strides).rev().all(|(&d, &s)| {
+                let ok = s == expect;
+                expect *= d;
+                ok
+            })
     }
 
     /// Borrows the elements as one row-major slice when the view is

@@ -14,15 +14,16 @@
 //! Four invariants are checked per [`ScheduledGroup`]:
 //!
 //! 1. **Unimodularity** — `T` is square with determinant ±1 and `T·T⁻¹ = I`
-//!    (the stored inverse actually inverts the stored transform).
+//!    (the stored inverse actually inverts the stored transform). The
+//!    executor's plan composes every access map with that stored inverse
+//!    ([`ft_passes::Reordering::transform_map`]), so at `j = T·t` its
+//!    fused map `(M·T⁻¹)·j + o` computes exactly the indices `M·t + o`
+//!    the semantics demand.
 //! 2. **Dependence carrying** — row 0 of `T` has a strictly positive dot
 //!    product with every dependence distance vector of every member, and a
 //!    group with dependences has a sequential dimension at all.
 //! 3. **Access-map range** — every read/write map stays in-bounds over the
-//!    member's whole iteration domain, and the fused map
-//!    `i = (M·T⁻¹)·j + o` agrees with the original map at every point
-//!    (`j = T·t`), i.e. the executor's partially-evaluated plan computes
-//!    the same indices the semantics demand.
+//!    member's whole iteration domain.
 //! 4. **Wavefront order** — every value read from a group-internal buffer
 //!    was written at an earlier wavefront step, or at the same step by an
 //!    earlier member at the same point (the scratch-slot forwarding case),
@@ -41,9 +42,9 @@
 //!
 //! Invariants 3 and 4 are decided once per access map, not once per point:
 //! block domains are boxes and maps are affine, so range is two corners per
-//! map row, fused-map agreement is the identity `fused·T = M`, and order and
-//! coverage follow from solving each read against its writers' maps and
-//! subtracting the shifted writer boxes from the read box. An access those
+//! map row, and order and coverage follow from solving each read against
+//! its writers' maps and subtracting the shifted writer boxes from the
+//! read box. An access those
 //! rules cannot decide (a non-box domain, writers with other matrices or
 //! overlapping images) falls back to a per-point sweep for that access
 //! alone: exhaustive up to [`POINT_CAP`] points per member, strided-sampled
@@ -59,8 +60,8 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use ft_affine::{AffineMap, IntMat};
-use ft_etdg::{BlockId, RegionRead};
+use ft_affine::IntMat;
+use ft_etdg::RegionRead;
 use ft_passes::{compile, distance_vectors, CompiledProgram, ScheduledGroup};
 
 mod maps;
@@ -162,22 +163,6 @@ pub enum VerifyError {
         index: Vec<i64>,
         /// The buffer's declared extents.
         dims: Vec<usize>,
-    },
-    /// The fused map `(M·T⁻¹)·j + o` disagrees with the original map — the
-    /// executor's partially-evaluated plan would touch the wrong data.
-    FusedMapMismatch {
-        /// Launch group index.
-        group: usize,
-        /// Block issuing the access.
-        block: String,
-        /// Buffer accessed.
-        buffer: String,
-        /// Original-space iteration point.
-        point: Vec<i64>,
-        /// Index from the original map.
-        original: Vec<i64>,
-        /// Index from the fused map at `j = T·t`.
-        fused: Vec<i64>,
     },
     /// A read observes a value its writer has not produced yet in
     /// wavefront order (same or later step, and not forwardable from an
@@ -313,18 +298,6 @@ impl std::fmt::Display for VerifyError {
                 "{}, block '{block}': {kind} of buffer '{buffer}' out of range at \
                  point {point:?}: index {index:?} vs dims {dims:?}",
                 group_label(group)
-            ),
-            VerifyError::FusedMapMismatch {
-                group,
-                block,
-                buffer,
-                point,
-                original,
-                fused,
-            } => write!(
-                f,
-                "group {group}, block '{block}': fused access map for buffer '{buffer}' \
-                 disagrees with the original at point {point:?}: {fused:?} != {original:?}"
             ),
             VerifyError::WavefrontOrder {
                 group,
@@ -661,26 +634,6 @@ pub fn verify_enumerated(compiled: &CompiledProgram) -> Result<VerifyReport, Ver
     verify_with(compiled, Mode::Points)
 }
 
-/// Checks read `read` (an index into the member's `reads`, which must be a
-/// buffer read) of launch group `group`'s member block against a
-/// caller-supplied fused map: range and fused-map agreement over the whole
-/// domain, by the map rules or, with `enumerate`, per point.
-///
-/// [`verify`] derives every fused map from `T` itself, exactly as the
-/// executor does, so a disagreeing fused map can only be presented here.
-#[doc(hidden)]
-pub fn check_fused_read(
-    compiled: &CompiledProgram,
-    group: usize,
-    member: BlockId,
-    read: usize,
-    fused: &AffineMap,
-    enumerate: bool,
-) -> Result<(), VerifyError> {
-    let mode = if enumerate { Mode::Points } else { Mode::Maps };
-    maps::check_fused_read(compiled, group, member, read, fused, mode)
-}
-
 fn verify_with(compiled: &CompiledProgram, mode: Mode) -> Result<VerifyReport, VerifyError> {
     let t0 = Instant::now();
     let mut span = ft_obs::span("verify", "legality_check");
@@ -957,15 +910,15 @@ fn check_group(
         }
     }
 
-    // 3 + 4. Access-map range, fused-map agreement, wavefront order and
-    // unwritten reads, per access map.
+    // 3 + 4. Access-map range, wavefront order and unwritten reads, per
+    // access map.
     maps::check_group(compiled, gi, group, mode, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_affine::IntMat;
+    use ft_affine::{AffineMap, IntMat};
     use ft_core::builders::stacked_rnn_program;
     use ft_etdg::RegionRead;
 

@@ -1,5 +1,5 @@
-//! Invariants 3 and 4 — access-map range, fused-map agreement, wavefront
-//! order and unwritten reads — decided once per access map.
+//! Invariants 3 and 4 — access-map range, wavefront order and unwritten
+//! reads — decided once per access map.
 //!
 //! Every block domain the parser and the passes build is a box (a
 //! `from_box` hull cut by single-variable thresholds), and every access
@@ -9,8 +9,6 @@
 //! * **Range.** Row `i` of `M·t + o` takes its extremes at two corners of
 //!   the box; both indices inside the buffer means every index is.
 //!   Non-box domains bound each row by Fourier–Motzkin instead.
-//! * **Fused map.** `fused.matrix · T == M` with equal offsets makes the
-//!   executor's `(M·T⁻¹)·j + o` agree with `M·t + o` everywhere.
 //! * **Order and unwritten reads.** A read `R·t + r` of a group-owned
 //!   buffer whose writers all share its injective matrix is served by
 //!   writer `w` at `t − δ_w` (`R·δ_w = o_w − r`), on the read points
@@ -213,31 +211,16 @@ impl Scope<'_> {
         }
     }
 
-    /// The executor's fused map of an access (`None` outside a group).
-    fn fused(&self, block: &BlockNode, map: &AffineMap) -> Result<Option<AffineMap>, VerifyError> {
-        self.sched
-            .map(|s| s.r.transform_map(map))
-            .transpose()
-            .map_err(|e| self.structural(block, e.to_string()))
-    }
-
     /// Invariant 3 for one access over the block's whole domain: every
-    /// index in range and, in a group, the fused map in agreement.
+    /// index in range.
     fn check_map(
         &self,
         block: &BlockNode,
         dom: Option<&IntBox>,
         acc: &Access<'_>,
-        fused: Option<&AffineMap>,
         report: &mut VerifyReport,
     ) -> Result<(), VerifyError> {
-        if self.mode == Mode::Maps
-            && self.range_by_map(block, dom, acc)?
-            && match fused {
-                Some(f) => self.fused_by_map(block, dom, acc, f)?,
-                None => true,
-            }
-        {
+        if self.mode == Mode::Maps && self.range_by_map(block, dom, acc)? {
             return Ok(());
         }
         if sampled(block) {
@@ -245,7 +228,7 @@ impl Scope<'_> {
         }
         for t in sample_points(&block.domain, &block.extents, POINT_CAP) {
             report.points += 1;
-            self.check_point(block, acc, fused, &t)?;
+            self.check_point(block, acc, &t)?;
         }
         Ok(())
     }
@@ -287,56 +270,18 @@ impl Scope<'_> {
                 return Ok(true); // Empty domain.
             };
             for t in corners {
-                self.check_point(block, acc, None, &t)?;
+                self.check_point(block, acc, &t)?;
             }
         }
         Ok(true)
     }
 
-    /// Fused-map agreement as the matrix identity `fused·T == M` with equal
-    /// offsets; failing that, on a box, by the extreme corners of each row
-    /// of the difference. `Ok(false)`: undecided.
-    fn fused_by_map(
-        &self,
-        block: &BlockNode,
-        dom: Option<&IntBox>,
-        acc: &Access<'_>,
-        fused: &AffineMap,
-    ) -> Result<bool, VerifyError> {
-        let Some(s) = self.sched else {
-            return Ok(true);
-        };
-        let Ok(ft) = fused.matrix().matmul(&s.r.t) else {
-            return Ok(false);
-        };
-        let m = acc.map.matrix();
-        if ft == *m && fused.offset() == acc.map.offset() {
-            return Ok(true);
-        }
-        let (Some(dom), true) = (dom, ft.rows() == m.rows() && ft.cols() == m.cols()) else {
-            return Ok(false);
-        };
-        // Each row of (fused·T − M)·t + (o_f − o) is affine on the box: zero
-        // at both of its extreme corners means zero everywhere.
-        for i in 0..m.rows() {
-            let diff: Vec<i64> = ft.row(i).iter().zip(m.row(i)).map(|(a, b)| a - b).collect();
-            let Some(corners) = dom.extreme_corners(&diff) else {
-                return Ok(true);
-            };
-            for t in corners {
-                self.check_point(block, acc, Some(fused), &t)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// Evaluates one access at one point, checking range and fused-map
-    /// agreement; returns the data-space index.
+    /// Evaluates one access at one point, checking its range; returns the
+    /// data-space index.
     fn check_point(
         &self,
         block: &BlockNode,
         acc: &Access<'_>,
-        fused: Option<&AffineMap>,
         t: &[i64],
     ) -> Result<Vec<i64>, VerifyError> {
         let structural = |e: ft_affine::AffineError| self.structural(block, e.to_string());
@@ -352,20 +297,6 @@ impl Scope<'_> {
                 index: idx,
                 dims: buf.dims.clone(),
             });
-        }
-        if let (Some(s), Some(fused)) = (self.sched, fused) {
-            let j = s.r.t.matvec(t).map_err(structural)?;
-            let fidx = fused.apply(&j).map_err(structural)?;
-            if fidx != idx {
-                return Err(VerifyError::FusedMapMismatch {
-                    group: s.gi,
-                    block: block.name.clone(),
-                    buffer: buf.name.clone(),
-                    point: t.to_vec(),
-                    original: idx,
-                    fused: fidx,
-                });
-            }
         }
         Ok(idx)
     }
@@ -544,9 +475,9 @@ impl Scope<'_> {
     }
 }
 
-/// Invariants 3 and 4 for one launch group: every write's range and fused
-/// map first, then per member every read's, then the order and coverage
-/// of its reads of buffers only this group writes.
+/// Invariants 3 and 4 for one launch group: every write's range first,
+/// then per member every read's, then the order and coverage of its reads
+/// of buffers only this group writes.
 pub(crate) fn check_group(
     compiled: &CompiledProgram,
     gi: usize,
@@ -570,8 +501,7 @@ pub(crate) fn check_group(
         let (_, writes) = accesses(block);
         report.maps += writes.len();
         for acc in &writes {
-            let fused = scope.fused(block, acc.map)?;
-            scope.check_map(block, dom.as_ref(), acc, fused.as_ref(), report)?;
+            scope.check_map(block, dom.as_ref(), acc, report)?;
         }
     }
 
@@ -585,8 +515,7 @@ pub(crate) fn check_group(
         let (reads, _) = accesses(block);
         report.maps += reads.len();
         for acc in &reads {
-            let fused = scope.fused(block, acc.map)?;
-            scope.check_map(block, doms[mi].as_ref(), acc, fused.as_ref(), report)?;
+            scope.check_map(block, doms[mi].as_ref(), acc, report)?;
         }
         for acc in &reads {
             if !group_owns(acc.buffer) {
@@ -635,54 +564,8 @@ pub(crate) fn check_ungrouped(
         let (reads, writes) = accesses(block);
         report.maps += reads.len() + writes.len();
         for acc in reads.iter().chain(&writes) {
-            scope.check_map(block, dom.as_ref(), acc, None, report)?;
+            scope.check_map(block, dom.as_ref(), acc, report)?;
         }
     }
     Ok(())
-}
-
-/// One read of a scheduled member checked against a caller-supplied
-/// fused map (see [`crate::check_fused_read`]).
-pub(crate) fn check_fused_read(
-    compiled: &CompiledProgram,
-    gi: usize,
-    member: BlockId,
-    read: usize,
-    fused: &AffineMap,
-    mode: Mode,
-) -> Result<(), VerifyError> {
-    let block = compiled.etdg.block(member);
-    let missing = |detail: String| VerifyError::Structural {
-        group: Some(gi),
-        block: block.name.clone(),
-        detail,
-    };
-    let group = compiled
-        .groups
-        .get(gi)
-        .ok_or_else(|| missing(format!("no launch group {gi}")))?;
-    let Some(RegionRead::Buffer { buffer, map }) = block.reads.get(read) else {
-        return Err(missing(format!("no buffer read {read}")));
-    };
-    let scope = Scope {
-        etdg: &compiled.etdg,
-        sched: Some(Sched {
-            gi,
-            r: &group.reordering,
-        }),
-        mode,
-    };
-    let acc = Access {
-        buffer: *buffer,
-        map,
-        kind: AccessKind::Read,
-    };
-    let mut report = VerifyReport::default();
-    scope.check_map(
-        block,
-        domain_box(block).as_ref(),
-        &acc,
-        Some(fused),
-        &mut report,
-    )
 }

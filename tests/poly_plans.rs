@@ -13,12 +13,18 @@
 //! * **One cache entry serves every length** — [`PolyCache`] keys on the
 //!   shape-insensitive family identity; N distinct-extent programs of one
 //!   structure cost one build and N−1 hits.
+//! * **A fused launch reads its parts in place** — one launch over ragged
+//!   parts ([`Executor::run_parts`]) hands every part exactly what its
+//!   solo run and the interpreter compute, without cloning an input leaf,
+//!   and rejects a part whose dims disagree with its extent before
+//!   anything runs.
 
 use std::collections::HashMap;
 
-use ft_backend::Executor;
+use ft_backend::{ExecError, Executor};
 use ft_core::adt::FractalTensor;
 use ft_core::builders::stacked_rnn_program;
+use ft_core::interp::run_program;
 use ft_core::{poly_split, BufferId, Program};
 use ft_passes::{compile, PolyCache, PolyPlan};
 use ft_tensor::Tensor;
@@ -155,4 +161,119 @@ fn distinct_structures_get_distinct_entries() {
     assert_eq!(cache.len(), 3, "one entry per structural family");
     assert_eq!(cache.misses(), 3);
     assert_eq!(cache.hits(), 3);
+}
+
+/// The members of a ragged batch: the inputs of one stacked RNN request
+/// per extent, all sharing one weight stack.
+fn ragged_members(extents: &[usize], d: usize, l: usize, h: usize) -> Vec<Outputs> {
+    let ws = rnn_inputs(1, d, l, h, 7)[&BufferId(1)].clone();
+    extents
+        .iter()
+        .enumerate()
+        .map(|(m, &n)| {
+            let mut inputs = rnn_inputs(n, d, l, h, 300 + m as u64);
+            inputs.insert(BufferId(1), ws.clone());
+            inputs
+        })
+        .collect()
+}
+
+/// One launch over ragged parts gives every part, bit for bit, its solo
+/// run and the `ft-core` interpreter's result, at 1 and 2 threads with
+/// guard mode off and on, and clones neither an input leaf nor an output.
+#[test]
+fn parts_match_solo_runs_and_the_interpreter() {
+    let (d, l, h) = (2usize, 3, 8);
+    let family = family_for(&stacked_rnn_program(2, d, l, h));
+    for extents in [&[1usize, 3, 2][..], &[8], &[2, 2]] {
+        let members = ragged_members(extents, d, l, h);
+        let parts: Vec<_> = extents.iter().copied().zip(&members).collect();
+        for threads in [1usize, 2] {
+            for guard in [false, true] {
+                let label = format!("parts={extents:?} t={threads} guard={guard}");
+                let exec = Executor::new().threads(threads).guard(guard);
+                let got = exec.run_parts(&family, &parts, None).expect("parts run");
+                assert_eq!(got.len(), parts.len(), "{label}: one output map per part");
+                for (m, (&(n, inputs), out)) in parts.iter().zip(&got).enumerate() {
+                    let solo = exec.run_poly(&family, n, inputs, None).expect("solo run");
+                    assert_bitwise_eq(out, &solo, &format!("{label} member {m} vs solo"));
+                    let interp = run_program(&stacked_rnn_program(n, d, l, h), inputs).unwrap();
+                    let want: Outputs = out.keys().map(|id| (*id, interp[id].clone())).collect();
+                    assert_bitwise_eq(out, &want, &format!("{label} member {m} vs interpreter"));
+                }
+                let stats = exec.arena_stats();
+                assert_eq!(stats.leaf_clones, 0, "{label}: an input leaf was cloned");
+                assert!(stats.leaf_borrows > 0, "{label}: no leaf was read in place");
+                assert_eq!(stats.output_clones, 0, "{label}: every output is batched");
+            }
+        }
+    }
+}
+
+/// A part whose outer extent disagrees with its inputs' dims is a typed
+/// input error, raised before the launch takes an arena or a step runs,
+/// even when the wrong extents sum to the right total.
+#[test]
+fn a_part_with_the_wrong_extent_is_an_input_error() {
+    let (d, l, h) = (2usize, 3, 8);
+    let family = family_for(&stacked_rnn_program(2, d, l, h));
+    let members = ragged_members(&[1, 3], d, l, h);
+    let exec = Executor::new().threads(2);
+    let err = exec
+        .run_parts(&family, &[(2, &members[0]), (2, &members[1])], None)
+        .expect_err("extents 2 + 2 over parts of 1 and 3 rows");
+    assert!(matches!(err, ExecError::Input(_)), "{err:?}");
+    assert_eq!(exec.arena_stats().acquires, 0, "the launch must not start");
+    let err = exec
+        .run_parts(&family, &[], None)
+        .expect_err("a launch of no parts");
+    assert!(matches!(err, ExecError::Input(_)), "{err:?}");
+}
+
+/// A one-part run moves its outputs out of the launch: an exact-shape run
+/// treats every output as shared, and still clones none of them.
+#[test]
+fn a_one_part_run_moves_its_outputs() {
+    let (d, l, h) = (2usize, 3, 8);
+    let exact = compile(&stacked_rnn_program(3, d, l, h)).expect("exact compile");
+    let family = family_for(&stacked_rnn_program(2, d, l, h));
+    let inputs = rnn_inputs(3, d, l, h, 11);
+    let exec = Executor::new().threads(1);
+    let want = exec.run(&exact, &inputs).expect("exact run");
+    let got = exec.run_poly(&family, 3, &inputs, None).expect("poly run");
+    assert_bitwise_eq(&got, &want, "one part");
+    assert_eq!(exec.arena_stats().output_clones, 0);
+}
+
+/// An input leaf that is a strided view cannot be borrowed in place: the
+/// launch copies it, counts it as a leaf clone, and computes the same.
+#[test]
+fn a_strided_input_leaf_is_copied_and_counted() {
+    let (n, d, l, h) = (2usize, 2, 3, 8);
+    let family = family_for(&stacked_rnn_program(n, d, l, h));
+    let inputs = rnn_inputs(n, d, l, h, 21);
+    let mut strided = inputs.clone();
+    let xss = &inputs[&BufferId(0)];
+    // Each `[1, h]` leaf as the transpose of an `[h, 1]` column.
+    let column_view = |x: &Tensor| x.reshape(&[h, 1]).unwrap().to_contiguous().t().unwrap();
+    let leaves = FractalTensor::nested(
+        (0..n)
+            .map(|i| {
+                let row = (0..l).map(|j| column_view(xss.leaf_at(&[i, j]).unwrap()));
+                FractalTensor::from_tensors(row.collect()).unwrap()
+            })
+            .collect(),
+    )
+    .unwrap();
+    strided.insert(BufferId(0), leaves);
+    let exec = Executor::new().threads(1);
+    let want = exec
+        .run_poly(&family, n, &inputs, None)
+        .expect("contiguous run");
+    assert_eq!(exec.arena_stats().leaf_clones, 0);
+    let got = exec
+        .run_poly(&family, n, &strided, None)
+        .expect("strided run");
+    assert_bitwise_eq(&got, &want, "strided leaves");
+    assert_eq!(exec.arena_stats().leaf_clones, (n * l) as u64);
 }

@@ -404,8 +404,10 @@ fn sixteen_sessions_fuse_steps_without_state_copies() {
     let ids: Vec<u64> = (0..16)
         .map(|_| rt.open_session(rnn_session_spec(d, h)).unwrap())
         .collect();
-    // One round submits a step of every session, then waits for all.
-    let round = |t: u64| {
+    // One round submits a step of every session, then waits for all;
+    // `states[c]` collects session `c`'s hidden stack after every step.
+    let mut states: Vec<Vec<FractalTensor>> = vec![Vec::new(); ids.len()];
+    let mut round = |t: u64| {
         let tickets: Vec<_> = ids
             .iter()
             .enumerate()
@@ -417,8 +419,8 @@ fn sixteen_sessions_fuse_steps_without_state_copies() {
                 rt.decode_step(sid, inputs).unwrap()
             })
             .collect();
-        for ticket in tickets {
-            ticket.wait().unwrap();
+        for (c, ticket) in tickets.into_iter().enumerate() {
+            states[c].push(ticket.wait().unwrap()[&RNN_HS_NEXT].clone());
         }
     };
     round(0);
@@ -438,6 +440,19 @@ fn sixteen_sessions_fuse_steps_without_state_copies() {
         "a decode step deep-copied session state after warm-up"
     );
     assert!(stats.pinned_bytes > 0);
+    // Fused steps leave every session where its own decode loop would.
+    for (c, steps) in states.iter().enumerate() {
+        let one_shot = rnn_one_shot(d, h, steps.len(), &ws, 1000 * c as u64);
+        for (t, hs) in steps.iter().enumerate() {
+            for j in 0..d {
+                assert_eq!(
+                    hs.leaf_at(&[0, j]).unwrap(),
+                    one_shot.leaf_at(&[0, j, t]).unwrap(),
+                    "session {c} step {t} layer {j} diverged from one-shot recompute"
+                );
+            }
+        }
+    }
     for sid in ids {
         rt.close_session(sid).unwrap();
     }

@@ -15,9 +15,7 @@ use ft_core::program::BufferKind;
 use ft_core::Program;
 use ft_etdg::{sample_points, BlockId, RegionRead};
 use ft_passes::{compile, CompiledProgram};
-use ft_verify::{
-    check_fused_read, compile_verified, verify, verify_enumerated, VerifyError, POINT_CAP,
-};
+use ft_verify::{compile_verified, verify, verify_enumerated, VerifyError, POINT_CAP};
 use ft_workloads::{attention, b2b, bigbird, dilated, grid, lstm, retnet};
 
 fn all_workloads() -> Vec<(&'static str, Program)> {
@@ -129,12 +127,6 @@ fn verdict(e: &VerifyError) -> (&'static str, usize, String, String) {
             buffer,
             ..
         } => ("unwritten", *group, block.clone(), buffer.clone()),
-        VerifyError::FusedMapMismatch {
-            group,
-            block,
-            buffer,
-            ..
-        } => ("fused", *group, block.clone(), buffer.clone()),
         VerifyError::MapOutOfRange {
             group,
             block,
@@ -243,65 +235,26 @@ fn read_offset_onto_a_never_written_index_is_an_unwritten_read() {
 }
 
 #[test]
-fn fused_map_from_a_broken_inverse_column_disagrees_with_the_original() {
-    // Keep T (unimodular) and break one column of the inverse the fused map
-    // is built from: (M·T⁻¹')·(T·t) + o no longer reproduces M·t + o.
-    // `verify` derives fused maps from T itself, exactly as the executor
-    // does, so the broken map is handed to the per-access entry directly.
-    let c = compiled_rnn();
-    let r = &c.groups[0].reordering;
-    assert!(r.t.is_unimodular());
-    let (member, k) = find_read(&c, "stacked_rnn/region3", "ysss");
-    let RegionRead::Buffer { map, .. } = &c.etdg.block(member).reads[k] else {
-        unreachable!()
-    };
-    let d = r.t_inv.rows();
-    let mut broken = r.t_inv.clone();
-    for row in 0..d {
-        broken.set(row, 0, r.t_inv.get(row, 0) + r.t_inv.get(row, 1));
+fn every_region_of_the_paper_workloads_is_sampled() {
+    // The per-point fallback strides over each member's own box, so a
+    // region confined to a face of the extents hull (LSTM's regions 2 and
+    // 3, BigBird's region0) still gets samples.
+    for (name, program) in paper_programs() {
+        let c = compile(&program).unwrap();
+        for block in &c.etdg.blocks {
+            let samples = sample_points(&block.domain, &block.extents, POINT_CAP);
+            assert!(!samples.is_empty(), "{name}: {} got no samples", block.name);
+        }
     }
-    assert_ne!(r.t.matmul(&broken).unwrap(), IntMat::identity(d));
-    let fused =
-        AffineMap::new(map.matrix().matmul(&broken).unwrap(), map.offset().to_vec()).unwrap();
-
-    // The intact fused map passes both ways.
-    let intact = r.transform_map(map).unwrap();
-    for enumerate in [false, true] {
-        check_fused_read(&c, 0, member, k, &intact, enumerate).unwrap();
-    }
-    let by_map = check_fused_read(&c, 0, member, k, &fused, false).unwrap_err();
-    let by_point = check_fused_read(&c, 0, member, k, &fused, true).unwrap_err();
-    assert_eq!(verdict(&by_map), verdict(&by_point));
-    assert_eq!(
-        verdict(&by_map),
-        (
-            "fused",
-            0,
-            "stacked_rnn/region3".to_string(),
-            "ysss".to_string()
-        )
-    );
-    let VerifyError::FusedMapMismatch {
-        point,
-        original,
-        fused: got,
-        ..
-    } = by_map
-    else {
-        unreachable!()
-    };
-    assert_eq!(original, map.apply(&point).unwrap());
-    assert_ne!(got, original);
 }
 
 #[test]
-fn map_rules_see_the_corner_the_sampler_skips() {
+fn the_sampler_reaches_the_region_corner_the_map_rules_reject() {
     // BigBird at its evaluation shape: region0 is the single column
     // j = blocks-1, so shifting its qss read one row down leaves the
-    // buffer at exactly one point, the column's last corner. The strided
-    // sampler never lands on that column, so the per-point sweep accepts
-    // the corrupted program (and says it only sampled); the map rules
-    // reject it at that corner.
+    // buffer at exactly one point, the column's last corner. Both the
+    // map rules and the per-point sweep, which samples the column itself,
+    // reject the corrupted program at that corner.
     let mut c = compile(&bigbird::program(bigbird::BigBirdShape::paper())).unwrap();
     let (member, k) = find_read(&c, "bigbird/region0", "qss");
     let block = c.etdg.block(member);
@@ -313,8 +266,8 @@ fn map_rules_see_the_corner_the_sampler_skips() {
     let corner: Vec<i64> = dom.hi.iter().map(|h| h - 1).collect();
     let samples = sample_points(&block.domain, &block.extents, POINT_CAP);
     assert!(
-        !samples.contains(&corner),
-        "the sampler must skip the corner"
+        samples.contains(&corner),
+        "the sampler must reach the corner"
     );
     let RegionRead::Buffer { map, .. } = &block.reads[k] else {
         unreachable!()
@@ -324,26 +277,20 @@ fn map_rules_see_the_corner_the_sampler_skips() {
     off[0] += 1;
     set_read_offset(&mut c, member, k, off);
 
-    let sampled = verify_enumerated(&c).expect("the sampled sweep misses the corner");
-    assert!(!sampled.complete);
-    match verify(&c) {
-        Err(VerifyError::MapOutOfRange {
-            group: Some(0),
-            block,
-            buffer,
-            point,
-            index,
-            ..
-        }) => {
-            assert_eq!(
-                (block.as_str(), buffer.as_str()),
-                ("bigbird/region0", "qss")
-            );
-            assert_eq!(point, corner);
-            assert_eq!(index[0], corner[0] + 1);
-        }
-        other => panic!("expected MapOutOfRange at {corner:?}, got {other:?}"),
-    }
+    let err = rejected_alike(&c);
+    assert_eq!(
+        verdict(&err),
+        ("range", 0, "bigbird/region0".to_string(), "qss".to_string())
+    );
+    let VerifyError::MapOutOfRange { point, index, .. } = err else {
+        unreachable!()
+    };
+    assert_eq!(point, corner);
+    assert_eq!(index[0], corner[0] + 1);
+    let Err(VerifyError::MapOutOfRange { point, .. }) = verify_enumerated(&c) else {
+        unreachable!()
+    };
+    assert_eq!(point, corner, "the sweep meets only the corner");
 }
 
 fn compiled_rnn() -> CompiledProgram {
